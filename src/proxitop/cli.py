@@ -31,12 +31,25 @@ from .search import (
     TARGET_NAMES,
     search,
 )
-from .spaces import is_T1, validate_topology
+from .spaces import is_T1
 from .strong import hat_strongly_far, strongly_far, strongly_included
 
 
 class UsageError(ToolkitError):
     pass
+
+
+def _count(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # named in argparse's "invalid integer value" message
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +66,8 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--no-timestamp", action="store_true", help="omit the timestamp field"
         )
-        p.add_argument("--cap-n", type=int, default=None, help="exhaustive-check size cap")
-        p.add_argument("--cap-hyper", type=int, default=None, help="hyperspace size cap")
+        p.add_argument("--cap-n", type=_count(1), default=None, help="exhaustive-check size cap")
+        p.add_argument("--cap-hyper", type=_count(1), default=None, help="hyperspace size cap")
 
     p = sub.add_parser("validate", help="topology, axiom and compatibility report")
     p.add_argument("file")
@@ -78,7 +91,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="hunt finite models for witnesses")
     p.add_argument("--target", required=True, choices=TARGET_NAMES)
     p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count(0), default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the witness model file here")
     common(p)
@@ -89,7 +102,7 @@ def _load(path: str, *, require_valid_topology: bool = True) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidModelError(str(exc), path) from None
     model = modelfile.parse(text)
     # Only the validate command reports on broken topologies; everything
@@ -126,7 +139,7 @@ def _axiom_section(model: Model, cap: Optional[int]) -> dict:
 def _cmd_validate(args) -> dict:
     model = _load(args.file, require_valid_topology=False)
     space = model.space
-    topo = validate_topology(space)
+    topo = space.topology_report
     compat = is_compatible(model.proximity)
     singleton_edges = sum(
         1

@@ -61,10 +61,10 @@ def _require_open(space: GroundSpace, mask: int, what: str) -> None:
         raise NotOpenError(f"{what} must be an open set, got {space.format(mask)}")
 
 
-def hit_set(space: GroundSpace, v: int) -> HyperFamily:
-    """{ E in CL(X) : E meets V }, for open V."""
+def hit_set(space: GroundSpace, v: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
+    """{ E in CL(X) : E meets V }, for open V; `cap` bounds |CL(X)|."""
     _require_open(space, v, "hit parameter")
-    cl = enumerate_cl(space)
+    cl = enumerate_cl(space, cap=cap)
     mask = 0
     for idx, e in enumerate(cl):
         if e & v:
@@ -72,10 +72,10 @@ def hit_set(space: GroundSpace, v: int) -> HyperFamily:
     return HyperFamily(mask, (("hit", v),))
 
 
-def miss_set(space: GroundSpace, w: int) -> HyperFamily:
-    """{ E in CL(X) : E inside W }, for open W."""
+def miss_set(space: GroundSpace, w: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
+    """{ E in CL(X) : E inside W }, for open W; `cap` bounds |CL(X)|."""
     _require_open(space, w, "miss parameter")
-    cl = enumerate_cl(space)
+    cl = enumerate_cl(space, cap=cap)
     mask = 0
     for idx, e in enumerate(cl):
         if e & ~w == 0:
@@ -83,15 +83,17 @@ def miss_set(space: GroundSpace, w: int) -> HyperFamily:
     return HyperFamily(mask, (("miss", w),))
 
 
-def far_miss_set(prox: ProximityRelation, a: int) -> HyperFamily:
-    """{ E in CL(X) : E far from X\\A }, for open A.
+def far_miss_set(
+    prox: ProximityRelation, a: int, *, cap: int = DEFAULT_HYPER_CAP
+) -> HyperFamily:
+    """{ E in CL(X) : E far from X\\A }, for open A; `cap` bounds |CL(X)|.
 
     With A = X the complement is empty and every hyperpoint is included,
     matching the convention that everything is far from the empty set.
     """
     space = prox.space
     _require_open(space, a, "far-miss parameter")
-    cl = enumerate_cl(space)
+    cl = enumerate_cl(space, cap=cap)
     comp = space.complement(a)
     mask = 0
     for idx, e in enumerate(cl):
@@ -101,14 +103,21 @@ def far_miss_set(prox: ProximityRelation, a: int) -> HyperFamily:
 
 
 def sf_miss_set(
-    prox: ProximityRelation, a: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP
+    prox: ProximityRelation,
+    a: int,
+    *,
+    cap: int = DEFAULT_EXHAUSTIVE_CAP,
+    hyper_cap: int = DEFAULT_HYPER_CAP,
 ) -> HyperFamily:
-    """{ E in CL(X) : E strongly far from X\\A }, for open A."""
+    """{ E in CL(X) : E strongly far from X\\A }, for open A.
+
+    `cap` bounds the point count, `hyper_cap` bounds |CL(X)|.
+    """
     space = prox.space
     _require_open(space, a, "strongly-far-miss parameter")
     if space.n > cap:
         raise CapExceededError("sf_miss_set", space.n, cap)
-    cl = enumerate_cl(space)
+    cl = enumerate_cl(space, cap=hyper_cap)
     comp = space.complement(a)
     mask = 0
     for idx, e in enumerate(cl):
@@ -206,15 +215,17 @@ def build_topology(
     cl = enumerate_cl(space, cap=hyper_cap)
     families: list[HyperFamily] = []
     if include_hits:
-        families.extend(hit_set(space, v) for v in space.opens)
+        families.extend(hit_set(space, v, cap=hyper_cap) for v in space.opens)
 
     if miss_kind == "vietoris":
-        families.extend(miss_set(space, w) for w in space.opens)
+        families.extend(miss_set(space, w, cap=hyper_cap) for w in space.opens)
     elif miss_kind == "fell":
         if ideal is None:
             raise ToolkitError("fell topology needs a compactness ideal")
         families.extend(
-            miss_set(space, w) for w in space.opens if space.complement(w) in ideal
+            miss_set(space, w, cap=hyper_cap)
+            for w in space.opens
+            if space.complement(w) in ideal
         )
     elif miss_kind == "hit_and_miss":
         if family is None:
@@ -224,16 +235,18 @@ def build_topology(
                 raise ToolkitError(f"family member {space.format(c)} is not closed")
         members = set(family)
         families.extend(
-            miss_set(space, w) for w in space.opens if space.complement(w) in members
+            miss_set(space, w, cap=hyper_cap)
+            for w in space.opens
+            if space.complement(w) in members
         )
     elif miss_kind == "far_miss":
         if prox is None:
             raise ToolkitError("far_miss topology needs a proximity")
-        families.extend(far_miss_set(prox, a) for a in space.opens)
+        families.extend(far_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
     elif miss_kind == "sf_miss":
         if prox is None:
             raise ToolkitError("sf_miss topology needs a proximity")
-        families.extend(sf_miss_set(prox, a) for a in space.opens)
+        families.extend(sf_miss_set(prox, a, hyper_cap=hyper_cap) for a in space.opens)
 
     subbase = _dedup_subbase(families)
     base = _close_under_intersection(subbase, (1 << len(cl)) - 1, base_cap)

@@ -39,7 +39,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .errors import InvalidModelError, ToolkitError
+from .errors import InvalidModelError, MAX_GROUND_POINTS, ToolkitError
 from .proximity import (
     CompactnessIdeal,
     PointRelation,
@@ -50,7 +50,10 @@ from .proximity import (
     point_generated_proximity,
     table_proximity,
 )
-from .spaces import GroundSpace, Metric, PointSet, all_masks, bits_of, validate_topology
+from .spaces import GroundSpace, Metric, PointSet, all_masks, bits_of
+
+# libyaml's loader parses about ten times faster than the pure-Python one.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
@@ -74,7 +77,7 @@ class Model:
         return self.subsets[name]
 
     def topology_valid(self) -> bool:
-        return validate_topology(self.space).ok
+        return self.space.topology_report.ok
 
 
 # -- parsing ------------------------------------------------------------
@@ -95,8 +98,8 @@ def _parse_points(doc: dict) -> tuple[str, ...]:
         _fail("points", "required field is missing")
     raw = doc["points"]
     if isinstance(raw, int):
-        if raw < 1:
-            _fail("points", "point count must be positive")
+        if not 1 <= raw <= MAX_GROUND_POINTS:
+            _fail("points", f"point count must be in 1..{MAX_GROUND_POINTS}, got {raw}")
         return tuple(f"p{i}" for i in range(raw))
     raw = _expect_type(raw, list, "points", "a list of names or an integer count")
     names = []
@@ -107,6 +110,8 @@ def _parse_points(doc: dict) -> tuple[str, ...]:
         names.append(name)
     if len(set(names)) != len(names):
         _fail("points", "point names must be distinct")
+    if not 1 <= len(names) <= MAX_GROUND_POINTS:
+        _fail("points", f"point count must be in 1..{MAX_GROUND_POINTS}, got {len(names)}")
     return tuple(names)
 
 
@@ -310,7 +315,7 @@ TOP_LEVEL_FIELDS = ("points", "topology", "metric", "proximity", "subsets", "rep
 def parse(text: str) -> Model:
     """Parse and validate a model file; raise InvalidModelError on any defect."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         where = ""
         if hasattr(exc, "problem_mark") and exc.problem_mark is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, ToolkitError
@@ -39,14 +40,22 @@ CLASS_EF = "ef"
 class ProximityRelation:
     """A total symmetric relation over pairs of subset masks.
 
-    Verdicts are produced by `rule` and memoized under the unordered pair
-    key, so symmetry (P0) holds structurally and repeated queries are
-    dict lookups. `eval_count` counts `near` calls; the model searcher
-    uses it as its budget unit. The memo behaves as a write-once cache:
-    a pair's verdict never changes once computed.
+    Verdicts come from `rule`, called with the unordered pair (a <= b),
+    so symmetry (P0) holds structurally. Until the relation is swept,
+    each verdict is memoized under its pair key. The first exhaustive
+    sweep (`matrix`) settles every pair at once into a dense bit matrix,
+    which `near` reads from then on; point-generated constructors fill it
+    from their point neighbourhoods without calling `rule` at all.
+
+    `eval_count` is the number of unordered pairs whose verdict the
+    relation has determined: memo misses before the matrix exists, all
+    2^n (2^n + 1) / 2 pairs once it does. The model searcher uses it as
+    its budget unit. A pair's verdict never changes once determined.
     """
 
-    __slots__ = ("space", "kind", "params", "_rule", "_memo", "eval_count")
+    __slots__ = (
+        "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_point_rows"
+    )
 
     def __init__(
         self,
@@ -61,12 +70,20 @@ class ProximityRelation:
         self._rule = rule
         self._memo: dict[tuple[int, int], bool] = {}
         self.eval_count = 0
+        self._rows: Optional[list[int]] = None
+        # Point-generated constructors set this to a function returning,
+        # for each point i, the mask of points near {i}, or None when the
+        # relation turns out not to be point-generated.
+        self._point_rows: Optional[Callable[[], Optional[tuple[int, ...]]]] = None
 
     def near(self, a: int, b: int) -> bool:
-        self.eval_count += 1
+        rows = self._rows
+        if rows is not None:
+            return rows[a] >> b & 1 == 1
         key = (a, b) if a <= b else (b, a)
         hit = self._memo.get(key)
         if hit is None:
+            self.eval_count += 1
             hit = self._rule(key[0], key[1])
             self._memo[key] = hit
         return hit
@@ -74,8 +91,85 @@ class ProximityRelation:
     def far(self, a: int, b: int) -> bool:
         return not self.near(a, b)
 
+    def matrix(self) -> list[int]:
+        """The dense near matrix: bit b of `rows[a]` says whether a near b.
+
+        Built on first use. Point-generated relations fill row a as the
+        masks meeting N(a), the union of the point neighbourhoods of a,
+        one OR per mask; other relations call `rule` once per unordered
+        pair, reusing memoized verdicts.
+        """
+        if self._rows is None:
+            n = self.space.n
+            size = 1 << n
+            point_rows = self._point_rows and self._point_rows()
+            if point_rows is not None:
+                rows = _point_generated_rows(n, point_rows)
+            else:
+                rows = [0] * size
+                memo, rule = self._memo, self._rule
+                for a in range(size):
+                    row = rows[a]
+                    for b in range(a, size):
+                        hit = memo.get((a, b))
+                        if hit is None:
+                            hit = rule(a, b)
+                        if hit:
+                            row |= 1 << b
+                            rows[b] |= 1 << a
+                    rows[a] = row
+            self._rows = rows
+            self._memo = {}
+            self.eval_count = size * (size + 1) // 2
+        return self._rows
+
     def __repr__(self) -> str:
         return f"ProximityRelation(kind={self.kind!r}, n={self.space.n})"
+
+
+@lru_cache(maxsize=None)
+def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-n tables of 2^n-bit mask sets: (meets, subsets_of).
+
+    `meets[m]` holds every mask that meets m and `subsets_of[m]` every
+    mask inside m. The singleton columns are periodic bit patterns; the
+    rest follow by one OR per mask over the low bit.
+    """
+    size = 1 << n
+    everything = (1 << size) - 1
+    meets = [0] * size
+    for i in range(n):
+        half = 1 << i
+        meets[half] = (((1 << half) - 1) << half) * (everything // ((1 << 2 * half) - 1))
+    for m in range(3, size):
+        low = m & -m
+        if low != m:
+            meets[m] = meets[m ^ low] | meets[low]
+    full = size - 1
+    return tuple(meets), tuple(everything ^ meets[full ^ m] for m in range(size))
+
+
+def _point_generated_rows(n: int, point_rows: tuple[int, ...]) -> list[int]:
+    meets, _ = _mask_tables(n)
+    size = 1 << n
+    nbhd = [0] * size
+    rows = [0] * size
+    for a in range(1, size):
+        low = a & -a
+        nbhd[a] = nbhd[a ^ low] | point_rows[low.bit_length() - 1]
+        rows[a] = meets[nbhd[a]]
+    return rows
+
+
+def _point_closures(space: GroundSpace) -> list[int]:
+    return [closure(space, 1 << i) for i in range(space.n)]
+
+
+def _meeting_points(closures: list[int]) -> tuple[int, ...]:
+    """For each point, the points whose closures meet its closure."""
+    return tuple(
+        sum(1 << j for j, cj in enumerate(closures) if ci & cj) for ci in closures
+    )
 
 
 # -- concrete constructors --------------------------------------------
@@ -87,7 +181,15 @@ def overlap_proximity(space: GroundSpace) -> ProximityRelation:
     def rule(a: int, b: int) -> bool:
         return closure(space, a) & closure(space, b) != 0
 
-    return ProximityRelation(space, "overlap", rule)
+    def point_rows():
+        # Closure is additive only on a real topology.
+        if not space.topology_report.ok:
+            return None
+        return _meeting_points(_point_closures(space))
+
+    prox = ProximityRelation(space, "overlap", rule)
+    prox._point_rows = point_rows
+    return prox
 
 
 def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelation:
@@ -102,7 +204,14 @@ def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelat
         g = metric.gap(a, b)
         return g is not None and g <= eps
 
-    return ProximityRelation(space, "gap", rule, {"epsilon": eps, "metric": metric})
+    def point_rows():
+        return tuple(
+            sum(1 << j for j, d in enumerate(row) if d <= eps) for row in metric.rows
+        )
+
+    prox = ProximityRelation(space, "gap", rule, {"epsilon": eps, "metric": metric})
+    prox._point_rows = point_rows
+    return prox
 
 
 @dataclass(frozen=True)
@@ -178,7 +287,22 @@ def alexandroff_proximity(space: GroundSpace, ideal: CompactnessIdeal) -> Proxim
             return True
         return ca not in ideal.members and cb not in ideal.members
 
-    return ProximityRelation(space, "alexandroff", rule, {"ideal": ideal})
+    def point_rows():
+        # On a topology a closure lies in the (principal) ideal iff it
+        # sits inside the ideal's top, so the "both closures outside"
+        # clause relates the points whose closures leave the top.
+        if not space.topology_report.ok:
+            return None
+        closures = _point_closures(space)
+        outside = sum(1 << i for i, c in enumerate(closures) if c & ~ideal.top)
+        return tuple(
+            row | (outside if outside >> i & 1 else 0)
+            for i, row in enumerate(_meeting_points(closures))
+        )
+
+    prox = ProximityRelation(space, "alexandroff", rule, {"ideal": ideal})
+    prox._point_rows = point_rows
+    return prox
 
 
 @dataclass(frozen=True)
@@ -250,7 +374,9 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
                 return True
         return False
 
-    return ProximityRelation(space, "point_relation", rule, {"relation": relation})
+    prox = ProximityRelation(space, "point_relation", rule, {"relation": relation})
+    prox._point_rows = lambda: rows
+    return prox
 
 
 def table_proximity(
@@ -275,7 +401,9 @@ def table_proximity(
 
 def constant_proximity(space: GroundSpace) -> ProximityRelation:
     """Every pair of nonempty sets is near."""
-    return ProximityRelation(space, "constant", lambda a, b: a != 0 and b != 0)
+    prox = ProximityRelation(space, "constant", lambda a, b: a != 0 and b != 0)
+    prox._point_rows = lambda: (space.full_mask,) * space.n
+    return prox
 
 
 # -- induced closure and compatibility ---------------------------------
@@ -399,12 +527,13 @@ def check_axioms(
 ) -> ProximityAxiomReport:
     """Verify the proximity axioms, exhaustively by default.
 
-    Exhaustive mode sweeps all pairs (P0-P2), all triples in the axiom's
-    shape (P3, P4), singleton pairs (P5) and, for each far pair, all
-    separating candidates (EF). Above `cap` points this raises
-    CapExceededError; passing `sample` switches to randomized probing and
-    the report is labeled non-exhaustive. Witnesses are the first
-    violation in ascending mask order.
+    Exhaustive mode decides every axiom over all subsets on the relation's
+    dense matrix (`ProximityRelation.matrix`), with a few word operations
+    per row or per pair of rows instead of a sweep over triples. Above
+    `cap` points this raises CapExceededError; passing `sample` switches
+    to randomized probing of the sampled masks and the report is labeled
+    non-exhaustive. Witnesses are the first violation in ascending mask
+    order (tuples lexicographic), in both modes.
     """
     requested = tuple(a for a in AXIOM_NAMES if a in set(axioms))
     if not requested:
@@ -413,22 +542,174 @@ def check_axioms(
     if sample is None and n > cap:
         raise CapExceededError("check_axioms", n, cap)
 
-    space = prox.space
-    full = space.full_mask
-    near = prox.near
-
     if sample is None:
-        masks: list[int] = list(all_masks(n))
+        masks = None
+        witnesses = _matrix_witnesses(prox, requested)
     else:
         rng = random.Random(seed)
         universe = 1 << n
         count = min(sample, universe)
         masks = sorted(rng.sample(range(universe), count)) if universe > count else list(all_masks(n))
+        witnesses = _sampled_witnesses(prox, masks, requested)
 
-    verdicts: dict[str, AxiomVerdict] = {}
+    verdicts = {name: AxiomVerdict(witnesses[name] is None, witnesses[name]) for name in requested}
+    if all(p in verdicts for p in ("P0", "P1", "P2", "P3", "P4", "EF")):
+        classification = _classify(verdicts)
+    else:
+        classification = "partial"
 
-    def record(name: str, witness: Optional[tuple[int, ...]]):
-        verdicts[name] = AxiomVerdict(witness is None, witness)
+    return ProximityAxiomReport(
+        verdicts=verdicts,
+        classification=classification,
+        exhaustive=sample is None,
+        checked_axioms=requested,
+        samples=None if masks is None else len(masks),
+    )
+
+
+Witness = Optional[tuple[int, ...]]
+
+
+def _low(x: int) -> int:
+    """Index of the lowest set bit."""
+    return (x & -x).bit_length() - 1
+
+
+def _matrix_witnesses(prox: ProximityRelation, requested: tuple[str, ...]) -> dict[str, Witness]:
+    """First violation of each requested axiom, read off the dense matrix.
+
+    Row a is the set of masks near a and far[a] its complement. Each test
+    finds the first failing a (and, where it is cheap, the rest of the
+    witness) with whole-row operations.
+    """
+    n = prox.space.n
+    size = 1 << n
+    full = size - 1
+    everything = (1 << size) - 1
+    rows = prox.matrix()
+    meets, subsets_of = _mask_tables(n)
+    far = [everything ^ row for row in rows]
+    out: dict[str, Witness] = {}
+
+    if "P0" in requested:
+        out["P0"] = None  # every fill sets a near b and b near a together
+
+    if "P1" in requested:
+        out["P1"] = (0, _low(rows[0])) if rows[0] else None
+
+    if "P2" in requested:
+        out["P2"] = next(
+            ((a, _low(meets[a] & far[a])) for a in range(size) if meets[a] & far[a]), None
+        )
+
+    if "P3" in requested:
+        # P3 at a says the row is additive: a near B iff B meets
+        # S = {j : a near {j}}, unless a is near the empty set and so
+        # near everything.
+        w = None
+        for a, row in enumerate(rows):
+            point_set = sum(1 << j for j in range(n) if row >> (1 << j) & 1)
+            if row != meets[point_set] and row != everything:
+                w = _p3_witness(a, row, n, meets, everything)
+                break
+        out["P3"] = w
+
+    if "P4" in requested:
+        # a, B, C violate P4 iff a near B, a far C and B lies inside
+        # P(C) = {i : {i} near C}: row a must miss the subsets of P(C)
+        # for every C far from a.
+        singles = [rows[1 << i] for i in range(n)]
+        inside = [
+            subsets_of[sum(1 << i for i in range(n) if singles[i] >> c & 1)] for c in range(size)
+        ]
+        w = None
+        for a, row in enumerate(rows):
+            reach = 0
+            for c in bits_of(far[a]):
+                reach |= inside[c]
+            if row & reach:
+                b = _low(row & reach)
+                w = (a, b, next(c for c in bits_of(far[a]) if inside[c] >> b & 1))
+                break
+        out["P4"] = w
+
+    if "P5" in requested:
+        out["P5"] = next(
+            (
+                (1 << i, 1 << j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rows[1 << i] >> (1 << j) & 1
+            ),
+            None,
+        )
+
+    if "EF" in requested or "EF-betweenness" in requested:
+        # Index-reversed far rows: bit e of flipped[b] says X\e is far from b.
+        flipped = [int(format(f, f"0{size}b")[::-1], 2) for f in far]
+
+    if "EF" in requested:
+        # A far pair (a, b) is separated iff some E is far from a with
+        # X\E far from b: far[a] & flipped[b] != 0.
+        out["EF"] = next(
+            ((a, b) for a in range(size) for b in bits_of(far[a]) if not far[a] & flipped[b]),
+            None,
+        )
+
+    if "EF-betweenness" in requested:
+        # A << B iff b is in flipped[a]; C sits between iff it is in
+        # flipped[a] (A << C) and in far[X\b] (C << B).
+        out["EF-betweenness"] = next(
+            (
+                (a, b)
+                for a in range(size)
+                for b in bits_of(flipped[a])
+                if not flipped[a] & far[full ^ b]
+            ),
+            None,
+        )
+    return out
+
+
+def _p3_witness(
+    a: int, row: int, n: int, meets: tuple[int, ...], everything: int
+) -> tuple[int, int, int]:
+    """First (a, B, C) with a near B|C != (a near B or a near C); row a fails P3."""
+    if row & 1:  # near the empty set but not near everything
+        return (a, 0, _low(everything ^ row))
+    # B fails iff some C breaks the law: when a near B, iff some superset
+    # of B is far from a; when a far B, iff adding some point of B to
+    # some C changes the verdict on C.
+    columns = [meets[1 << i] for i in range(n)]
+    invariant = sum(
+        1 << i
+        for i, col in enumerate(columns)
+        if row & ~col == (row & col) >> (1 << i)
+    )
+    for b in range(1, 1 << n):
+        if row >> b & 1:
+            supersets = everything
+            for i in bits_of(b):
+                supersets &= columns[i]
+            if not supersets & ~row:
+                continue
+        elif not b & ~invariant:
+            continue
+        near_b = row >> b & 1
+        for c in range(1 << n):
+            if row >> (b | c) & 1 != near_b | (row >> c & 1):
+                return (a, b, c)
+    raise AssertionError("row fails P3 but no witness found")
+
+
+def _sampled_witnesses(
+    prox: ProximityRelation, masks: list[int], requested: tuple[str, ...]
+) -> dict[str, Witness]:
+    """First violation of each requested axiom over the sampled masks."""
+    n = prox.space.n
+    full = prox.space.full_mask
+    near = prox.near
+    out: dict[str, Witness] = {}
 
     if "P0" in requested:
         w = None
@@ -439,7 +720,7 @@ def check_axioms(
                     break
             if w:
                 break
-        record("P0", w)
+        out["P0"] = w
 
     if "P1" in requested:
         w = None
@@ -447,7 +728,7 @@ def check_axioms(
             if near(0, b):
                 w = (0, b)
                 break
-        record("P1", w)
+        out["P1"] = w
 
     if "P2" in requested:
         w = None
@@ -458,7 +739,7 @@ def check_axioms(
                     break
             if w:
                 break
-        record("P2", w)
+        out["P2"] = w
 
     if "P3" in requested:
         w = None
@@ -472,7 +753,7 @@ def check_axioms(
                     break
             if w:
                 break
-        record("P3", w)
+        out["P3"] = w
 
     if "P4" in requested:
         w = None
@@ -490,7 +771,7 @@ def check_axioms(
                     break
             if w:
                 break
-        record("P4", w)
+        out["P4"] = w
 
     if "P5" in requested:
         w = None
@@ -501,7 +782,7 @@ def check_axioms(
                     break
             if w:
                 break
-        record("P5", w)
+        out["P5"] = w
 
     if "EF" in requested:
         w = None
@@ -519,7 +800,7 @@ def check_axioms(
                     break
             if w:
                 break
-        record("EF", w)
+        out["EF"] = w
 
     if "EF-betweenness" in requested:
         w = None
@@ -537,17 +818,5 @@ def check_axioms(
                     break
             if w:
                 break
-        record("EF-betweenness", w)
-
-    if all(p in verdicts for p in ("P0", "P1", "P2", "P3", "P4", "EF")):
-        classification = _classify(verdicts)
-    else:
-        classification = "partial"
-
-    return ProximityAxiomReport(
-        verdicts=verdicts,
-        classification=classification,
-        exhaustive=sample is None,
-        checked_axioms=requested,
-        samples=None if sample is None else len(masks),
-    )
+        out["EF-betweenness"] = w
+    return out

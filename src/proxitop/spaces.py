@@ -153,9 +153,8 @@ class GroundSpace:
         labels: Optional[Sequence[str]] = None,
     ) -> "GroundSpace":
         space = cls(PointSet(n, tuple(labels) if labels else None), tuple(opens))
-        report = validate_topology(space)
-        if not report.ok:
-            raise InvalidTopologyError(report)
+        if not space.topology_report.ok:
+            raise InvalidTopologyError(space.topology_report)
         return space
 
     @classmethod
@@ -215,6 +214,11 @@ class GroundSpace:
         return frozenset(self.opens)
 
     @cached_property
+    def topology_report(self) -> "TopologyReport":
+        """`validate_topology` of this space, computed once."""
+        return validate_topology(self)
+
+    @cached_property
     def closed(self) -> tuple[int, ...]:
         """All closed masks, ascending (complements of the opens)."""
         return tuple(sorted(self.complement(m) for m in self.opens))
@@ -234,27 +238,51 @@ def validate_topology(space: GroundSpace) -> TopologyReport:
     """Check the open family for the finite-topology axioms.
 
     Closure under arbitrary unions reduces to pairwise closure on a
-    finite family, so only pairs are scanned. The first violating pair
-    in ascending mask order is reported.
+    finite family. A family generated by its minimal neighbourhoods is
+    closed under both and needs no scan; any other family is scanned
+    pair by pair, and the first violating pair in ascending mask order
+    is reported.
     """
     opens = space.opens
     members = set(opens)
     union_witness = None
     intersection_witness = None
-    for i, a in enumerate(opens):
-        for b in opens[i:]:
-            if union_witness is None and (a | b) not in members:
-                union_witness = (a, b)
-            if intersection_witness is None and (a & b) not in members:
-                intersection_witness = (a, b)
-        if union_witness is not None and intersection_witness is not None:
-            break
+    if not _generated_by_minimal_neighbourhoods(space.n, members):
+        for i, a in enumerate(opens):
+            for b in opens[i:]:
+                if union_witness is None and (a | b) not in members:
+                    union_witness = (a, b)
+                if intersection_witness is None and (a & b) not in members:
+                    intersection_witness = (a, b)
+            if union_witness is not None and intersection_witness is not None:
+                break
     return TopologyReport(
         has_empty=0 in members,
         has_full=space.full_mask in members,
         union_witness=union_witness,
         intersection_witness=intersection_witness,
     )
+
+
+def _generated_by_minimal_neighbourhoods(n: int, members: set[int]) -> bool:
+    """Is the family exactly the unions of the sets U_p = AND{O : p in O}?
+
+    Every member O is the union of the U_p for p in O, so the family lies
+    inside those unions; and the unions are closed under union and
+    intersection (q in U_p implies U_q inside U_p). Equality therefore
+    proves both closure laws in O(n |family|) set operations.
+    """
+    full = (1 << n) - 1
+    unions = {0}
+    for p in range(n):
+        u = full
+        for o in members:
+            if o >> p & 1:
+                u &= o
+        unions |= {m | u for m in unions}
+        if len(unions) > len(members):
+            return False
+    return unions == members
 
 
 # -- closure / interior / separation ----------------------------------

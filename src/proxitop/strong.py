@@ -95,6 +95,8 @@ def hat_strongly_far(
     n = space.n
     if n > cap:
         raise CapExceededError("hat_strongly_far", n, cap)
+    if a & b:  # hulls covering A and B would meet inside A & B
+        return WitnessResult(holds=False)
     hulls = [regular_open_hull(space, m) for m in all_masks(n)]
     best_c: dict[int, int] = {}
     for e in all_masks(n):

@@ -1,0 +1,158 @@
+"""Reference checkers: the plain lexicographic loops, kept for differential tests.
+
+`axiom_witnesses` is the sweep `check_axioms` ran before the dense-matrix
+kernel: for each axiom it walks pairs or triples of masks in ascending
+order through a `near` predicate and returns the first violation. It sees
+a relation only through `rule_near`, which calls the relation's rule
+directly, so it never touches the matrix under test. `topology_witnesses`
+is the pair scan of the open-family axioms.
+"""
+
+from proxitop.proximity import AXIOM_NAMES
+from proxitop.spaces import all_masks, bits_of
+
+
+def rule_near(prox):
+    """The relation's own rule, memoized under the unordered pair."""
+    memo = {}
+    rule = prox._rule
+
+    def near(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key not in memo:
+            memo[key] = rule(*key)
+        return memo[key]
+
+    return near
+
+
+def axiom_witnesses(near, n, masks=None, axioms=AXIOM_NAMES):
+    """First violation (or None) per axiom, sweeping `masks` (default: all)."""
+    full = (1 << n) - 1
+    if masks is None:
+        masks = list(all_masks(n))
+    out = {}
+
+    if "P0" in axioms:
+        w = None
+        for a in masks:
+            for b in masks:
+                if near(a, b) != near(b, a):
+                    w = (a, b)
+                    break
+            if w:
+                break
+        out["P0"] = w
+
+    if "P1" in axioms:
+        w = None
+        for b in masks:
+            if near(0, b):
+                w = (0, b)
+                break
+        out["P1"] = w
+
+    if "P2" in axioms:
+        w = None
+        for a in masks:
+            for b in masks:
+                if a & b and not near(a, b):
+                    w = (a, b)
+                    break
+            if w:
+                break
+        out["P2"] = w
+
+    if "P3" in axioms:
+        w = None
+        for a in masks:
+            for b in masks:
+                for c in masks:
+                    if near(a, b | c) != (near(a, b) or near(a, c)):
+                        w = (a, b, c)
+                        break
+                if w:
+                    break
+            if w:
+                break
+        out["P3"] = w
+
+    if "P4" in axioms:
+        w = None
+        for a in masks:
+            for b in masks:
+                if not near(a, b):
+                    continue
+                for c in masks:
+                    if near(a, c):
+                        continue
+                    if all(near(1 << i, c) for i in bits_of(b)):
+                        w = (a, b, c)
+                        break
+                if w:
+                    break
+            if w:
+                break
+        out["P4"] = w
+
+    if "P5" in axioms:
+        w = None
+        for i in range(n):
+            for j in range(i + 1, n):
+                if near(1 << i, 1 << j):
+                    w = (1 << i, 1 << j)
+                    break
+            if w:
+                break
+        out["P5"] = w
+
+    if "EF" in axioms:
+        w = None
+        for a in masks:
+            for b in masks:
+                if near(a, b):
+                    continue
+                found = False
+                for e in all_masks(n):
+                    if not near(a, e) and not near(full & ~e, b):
+                        found = True
+                        break
+                if not found:
+                    w = (a, b)
+                    break
+            if w:
+                break
+        out["EF"] = w
+
+    if "EF-betweenness" in axioms:
+        w = None
+        for a in masks:
+            for b in masks:
+                if near(a, full & ~b):  # not a strong inclusion A << B
+                    continue
+                found = False
+                for c in all_masks(n):
+                    if not near(a, full & ~c) and not near(c, full & ~b):
+                        found = True
+                        break
+                if not found:
+                    w = (a, b)
+                    break
+            if w:
+                break
+        out["EF-betweenness"] = w
+    return out
+
+
+def topology_witnesses(opens):
+    """(union witness, intersection witness) of an ascending open family."""
+    members = set(opens)
+    union_witness = None
+    intersection_witness = None
+    for i, a in enumerate(opens):
+        for b in opens[i:]:
+            if union_witness is None and (a | b) not in members:
+                union_witness = (a, b)
+            if intersection_witness is None and (a & b) not in members:
+                intersection_witness = (a, b)
+    return union_witness, intersection_witness

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from proxitop.cli import main
+from proxitop.modelfile import parse_file
+from proxitop.proximity import ProximityRelation
+from reference import rule_near
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -67,6 +70,96 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["proximity"]["classification"] == "ef"
         assert doc["compatibility"]["compatible"] is True
+
+
+class TestLargeModels:
+    def test_ten_point_validate_replays_its_witnesses(self):
+        code, out, _ = run_cli(
+            "validate", str(MODELS / "line_gap.yaml"), "--json", "--no-timestamp"
+        )
+        assert code == 0
+        section = json.loads(out)["proximity"]
+        assert section["classification"] == "basic"
+        model = parse_file(MODELS / "line_gap.yaml")
+        near = rule_near(model.proximity)
+        names = model.space.points.labels
+        failed = {k: v for k, v in section["axioms"].items() if not v["passed"]}
+        assert set(failed) == {"P4", "P5", "EF", "EF-betweenness"}
+        for name, verdict in failed.items():
+            masks = [
+                sum(1 << names.index(p) for p in w.strip("{}").split(",") if p)
+                for w in verdict["witness"]
+            ]
+            assert violates(name, masks, near, model.space.n), (name, masks)
+
+    def test_relations_never_build_the_matrix(self, tmp_path, monkeypatch):
+        def refuse(prox):
+            raise AssertionError("relations swept the whole power set")
+
+        monkeypatch.setattr(ProximityRelation, "matrix", refuse)
+        path = tmp_path / "twelve.yaml"
+        path.write_text(
+            "points: 12\n"
+            "topology: [[], [p0, p1, p2, p3, p4, p5], [p6, p7, p8, p9, p10, p11],\n"
+            "  [p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11]]\n"
+            "proximity: {kind: overlap}\n"
+            "subsets: {A: [p0], B: [p6, p7], C: [p1, p6]}\n"
+        )
+        code, out, _ = run_cli("relations", str(path), "--json", "--no-timestamp")
+        assert code == 0
+        assert len(json.loads(out)["pairs"]) == 6
+
+
+def violates(name, witness, near, n):
+    """Replay one reported witness against its axiom's defining condition."""
+    full = (1 << n) - 1
+    if name == "P3":
+        a, b, c = witness
+        return near(a, b | c) != (near(a, b) or near(a, c))
+    if name == "P4":
+        a, b, c = witness
+        points = [1 << i for i in range(n) if b >> i & 1]
+        return near(a, b) and not near(a, c) and all(near(p, c) for p in points)
+    if name == "P5":
+        a, b = witness
+        return a != b and bin(a).count("1") == bin(b).count("1") == 1 and near(a, b)
+    if name == "EF":
+        a, b = witness
+        return not near(a, b) and not any(
+            not near(a, e) and not near(full & ~e, b) for e in range(full + 1)
+        )
+    if name == "EF-betweenness":
+        a, b = witness
+        return not near(a, full & ~b) and not any(
+            not near(a, full & ~c) and not near(c, full & ~b) for c in range(full + 1)
+        )
+    raise AssertionError(f"no replay for {name}")
+
+
+class TestRobustness:
+    def test_too_many_points_exit_2(self, tmp_path):
+        path = tmp_path / "big.yaml"
+        path.write_text("points: 20\ntopology: discrete\nproximity: {kind: overlap}\n")
+        code, _, err = run_cli("validate", str(path))
+        assert code == 2
+        assert "points" in err
+
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("points: [\xe9]\n".encode("latin-1"))
+        code, _, err = run_cli("validate", str(path))
+        assert code == 2
+        assert "utf-8" in err
+
+    def test_negative_budget_exit_1(self):
+        code, _, err = run_cli("search", "--target", "sf-not-hat", "--budget", "-5")
+        assert code == 1
+        assert "--budget" in err
+
+    def test_negative_cap_exit_1(self):
+        code, _, err = run_cli("validate", str(MODELS / "discrete_overlap.yaml"), "--cap-n", "-3")
+        assert code == 1
+        assert "--cap-n" in err
 
 
 class TestRelations:

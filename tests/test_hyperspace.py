@@ -3,6 +3,7 @@
 import pytest
 
 from proxitop import (
+    CapExceededError,
     CompactnessIdeal,
     GroundSpace,
     HyperspaceMismatchError,
@@ -71,6 +72,25 @@ class TestHitMiss:
             hit_set(space, 0b010)
         with pytest.raises(NotOpenError):
             miss_set(space, 0b110)
+
+    def test_raised_cap_reaches_enumeration(self):
+        fam = hit_set(GroundSpace.discrete(13), 1, cap=10000)
+        assert bin(fam.mask).count("1") == 4096
+
+    def test_every_family_honours_its_cap(self, discrete3):
+        prox = overlap_proximity(discrete3)
+        for make in (
+            lambda: hit_set(discrete3, 1, cap=6),
+            lambda: miss_set(discrete3, 1, cap=6),
+            lambda: far_miss_set(prox, 1, cap=6),
+            lambda: sf_miss_set(prox, 1, hyper_cap=6),
+            lambda: build_topology(discrete3, "sf_miss", prox=prox, hyper_cap=6),
+        ):
+            with pytest.raises(CapExceededError) as info:
+                make()
+            assert (info.value.operation, info.value.size, info.value.cap) == (
+                "enumerate_cl", 7, 6
+            )
 
 
 class TestFarMiss:

@@ -1,0 +1,205 @@
+"""The dense-matrix axiom kernel against the reference loops.
+
+Every test compares `check_axioms` with `reference.axiom_witnesses`,
+which sweeps the relation's own rule: the verdict and the exact first
+witness must agree for every axiom.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from proxitop import (
+    CompactnessIdeal,
+    GroundSpace,
+    Metric,
+    PointRelation,
+    ProximityRelation,
+    ToolkitError,
+    alexandroff_proximity,
+    check_axioms,
+    constant_proximity,
+    gap_proximity,
+    overlap_proximity,
+    point_generated_proximity,
+    table_proximity,
+)
+from proxitop.proximity import AXIOM_NAMES
+from proxitop.search import _pair_order, _random_topology
+from proxitop.spaces import PointSet, all_masks, validate_topology
+from proxitop.strong import derived_near_from_sf
+from reference import axiom_witnesses, rule_near, topology_witnesses
+
+
+def kernel_witnesses(prox):
+    report = check_axioms(prox)
+    return {name: report.verdicts[name].witness for name in AXIOM_NAMES}
+
+
+def assert_matches_reference(prox):
+    expected = axiom_witnesses(rule_near(prox), prox.space.n)
+    assert kernel_witnesses(prox) == expected, prox
+
+
+def test_corpus_matches_reference(corpus):
+    for m in corpus:
+        assert_matches_reference(m.prox)
+
+
+CONSTRUCTORS = {
+    "overlap-discrete": lambda: overlap_proximity(GroundSpace.discrete(3)),
+    "overlap-chain": lambda: overlap_proximity(GroundSpace.create(3, (0, 1, 3, 7))),
+    # not a topology: closure is not additive, so the rule fills the matrix
+    "overlap-non-topology": lambda: overlap_proximity(
+        GroundSpace(PointSet(3), (0, 1, 2, 7))
+    ),
+    "gap": lambda: gap_proximity(GroundSpace.discrete(4), Metric.line(4), 1),
+    "gap-zero": lambda: gap_proximity(GroundSpace.discrete(3), Metric.line(3), 0),
+    "alexandroff": lambda: _alexandroff(GroundSpace.create(3, (0, 1, 3, 7)), 4),
+    "alexandroff-all": lambda: _alexandroff(GroundSpace.discrete(3), None),
+    "point_relation": lambda: point_generated_proximity(
+        GroundSpace.discrete(4), PointRelation.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    ),
+    "table": lambda: table_proximity(
+        GroundSpace.discrete(2), [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (1, 2)]
+    ),
+    "table-empty": lambda: table_proximity(GroundSpace.discrete(2), []),
+    "constant": lambda: constant_proximity(GroundSpace.discrete(3)),
+    "derived-sf": lambda: derived_near_from_sf(
+        gap_proximity(GroundSpace.discrete(3), Metric.line(3), 1)
+    ),
+}
+
+
+def _alexandroff(space, top):
+    if top is None:
+        ideal = CompactnessIdeal.all_closed(space)
+    else:
+        ideal = CompactnessIdeal.principal(space, top)
+    return alexandroff_proximity(space, ideal)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_every_constructor_kind_matches_reference(name):
+    assert_matches_reference(CONSTRUCTORS[name]())
+
+
+@st.composite
+def point_relations(draw, n):
+    pairs = _pair_order(n)
+    edges = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return PointRelation.from_pairs(n, [p for k, p in enumerate(pairs) if edges >> k & 1])
+
+
+@st.composite
+def tables(draw):
+    """Arbitrary tables, and point-generated tables with a few pairs flipped."""
+    n = draw(st.integers(1, 4))
+    space = GroundSpace.discrete(n)
+    pairs = [(a, b) for a in all_masks(n) for b in all_masks(n) if a <= b]
+    if draw(st.booleans()):
+        near = draw(st.sets(st.sampled_from(pairs)))
+    else:
+        base = point_generated_proximity(space, draw(point_relations(n)))
+        near = {p for p in pairs if base.near(*p)}
+        near ^= draw(st.sets(st.sampled_from(pairs), max_size=3))
+    return table_proximity(space, near)
+
+
+@given(tables())
+@settings(max_examples=150, deadline=None)
+def test_tables_match_reference(prox):
+    assert_matches_reference(prox)
+
+
+@st.composite
+def point_generated(draw):
+    n = draw(st.integers(1, 4))
+    if n == 1 or draw(st.booleans()):
+        space = GroundSpace.discrete(n)
+    else:
+        space = _random_topology(n, random.Random(draw(st.integers(0, 10**6))))
+    return point_generated_proximity(space, draw(point_relations(n)))
+
+
+@given(point_generated())
+@settings(max_examples=100, deadline=None)
+def test_point_relations_match_reference(prox):
+    assert_matches_reference(prox)
+
+
+@st.composite
+def open_families(draw):
+    """Random families of masks, mostly not topologies."""
+    n = draw(st.integers(1, 4))
+    opens = draw(st.sets(st.integers(0, (1 << n) - 1)))
+    if draw(st.booleans()):
+        opens |= {0, (1 << n) - 1}
+    return GroundSpace(PointSet(n), tuple(opens))
+
+
+@given(open_families())
+@settings(max_examples=100, deadline=None)
+def test_overlap_and_alexandroff_on_any_family_match_reference(space):
+    assert_matches_reference(overlap_proximity(space))
+    try:
+        ideal = CompactnessIdeal.all_closed(space)
+    except ToolkitError:
+        return
+    assert_matches_reference(alexandroff_proximity(space, ideal))
+
+
+@given(open_families())
+@settings(max_examples=200, deadline=None)
+def test_topology_validation_matches_pair_scan(space):
+    report = validate_topology(space)
+    assert (report.union_witness, report.intersection_witness) == topology_witnesses(
+        space.opens
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_sampled_mode_sweeps_the_sampled_masks(seed):
+    space = GroundSpace.create(5, (0, 1, 3, 7, 15, 31))
+    prox = overlap_proximity(space)
+    masks = sorted(random.Random(seed).sample(range(32), 12))
+    expected = axiom_witnesses(rule_near(prox), 5, masks=masks)
+    report = check_axioms(prox, sample=12, seed=seed)
+    assert not report.exhaustive and report.samples == 12
+    assert {name: report.verdicts[name].witness for name in AXIOM_NAMES} == expected
+
+
+class TestMatrix:
+    def test_rows_agree_with_rule(self):
+        for name, make in CONSTRUCTORS.items():
+            prox = make()
+            near = rule_near(prox)
+            rows = prox.matrix()
+            for a in all_masks(prox.space.n):
+                for b in all_masks(prox.space.n):
+                    assert (rows[a] >> b & 1 == 1) == near(a, b), (name, a, b)
+
+    def test_eval_count_counts_determined_pairs(self):
+        prox = overlap_proximity(GroundSpace.discrete(3))
+        prox.near(1, 2)
+        prox.near(2, 1)
+        prox.near(1, 1)
+        assert prox.eval_count == 2
+        check_axioms(prox)
+        assert prox.eval_count == 8 * 9 // 2
+        prox.near(5, 6)
+        assert prox.eval_count == 8 * 9 // 2
+
+    def test_matrix_is_built_once_and_reused(self):
+        calls = []
+
+        def rule(a, b):
+            calls.append((a, b))
+            return a & b != 0
+
+        prox = ProximityRelation(GroundSpace.discrete(2), "custom", rule)
+        prox.near(1, 3)
+        check_axioms(prox)
+        check_axioms(prox, axioms=["P3"])
+        assert len(calls) == len(set(calls)) == 4 * 5 // 2
