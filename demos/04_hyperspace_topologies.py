@@ -1,9 +1,11 @@
 """Hit-and-miss topologies on the hyperspace of nonempty closed sets.
 
 CL(X) is enumerated once; a hyperspace topology is a subbase of
-hyperpoint families (hit sets plus one of several miss halves) closed
-under finite intersection into a base. Refinement between bases is
-decided pointwise and combined into equal / finer / incomparable.
+hyperpoint families (hit sets plus one of several miss halves). Each
+hyperpoint's minimal neighbourhood, the intersection of the subbase
+members through it, fixes the topology, and the distinct ones form its
+smallest base. Refinement compares minimal neighbourhoods pointwise and
+is combined into equal / finer / incomparable.
 """
 
 from proxitop import (
@@ -42,7 +44,7 @@ show("sf-miss", sf_miss_set(prox, 0b011))
 viet = build_topology(space, "vietoris")
 fell = build_topology(space, "fell", ideal=CompactnessIdeal.all_closed(space))
 farm = build_topology(space, "far_miss", prox=prox)
-print("\nbase sizes:", len(viet.base), len(fell.base), len(farm.base))
+print("\nminimal base sizes:", len(viet.base), len(fell.base), len(farm.base))
 print("fell(all closed) vs vietoris:", compare(fell, viet).verdict)
 print("far_miss(overlap) vs vietoris:", compare(farm, viet).verdict)
 

@@ -192,6 +192,7 @@ def _cmd_relations(args) -> dict:
     model = _load(args.file)
     prox = model.proximity
     space = model.space
+    cap = {} if args.cap_n is None else {"cap": args.cap_n}
     rows = []
     for name_a, name_b in _pair_list(model, args.pairs):
         a, b = model.subsets[name_a], model.subsets[name_b]
@@ -204,8 +205,8 @@ def _cmd_relations(args) -> dict:
             row["verdict"] = "degenerate (empty side)"
             rows.append(row)
             continue
-        sf = strongly_far(prox, a, b)
-        hat = hat_strongly_far(space, a, b)
+        sf = strongly_far(prox, a, b, **cap)
+        hat = hat_strongly_far(space, a, b, **cap)
         row.update(
             {
                 "near": prox.near(a, b),
@@ -301,8 +302,11 @@ def _cmd_search(args) -> dict:
         doc["witness_candidate"] = outcome.witness_name
         doc["witness_model"] = modelfile.serialize(outcome.witness)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(modelfile.serialize(outcome.witness))
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(doc["witness_model"])
+            except OSError as exc:
+                raise UsageError(f"cannot write --out file: {exc}") from None
             doc["witness_file"] = args.out
     return doc
 

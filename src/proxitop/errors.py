@@ -19,9 +19,6 @@ DEFAULT_WITNESS_CAP = 12
 # Maximum number of hyperpoints (nonempty closed sets) in CL(X).
 DEFAULT_HYPER_CAP = 4096
 
-# Safety valve for base generation (finite intersections of a subbase).
-DEFAULT_BASE_CAP = 200_000
-
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""

@@ -2,23 +2,23 @@
 
 CL(X) is the set of nonempty closed subsets, enumerated in ascending
 mask order; a family of hyperpoints is then itself a bitmask with one
-bit per hyperpoint. A topology on CL(X) is represented by a base (all
-finite intersections of a subbase), never by its full open family, and
-refinement between two bases is decided pointwise: left refines right
-iff inside every right base element every hyperpoint has an interposing
-left base element. On a finite hyperspace the intersection of all left
-subbase members through a point is itself a base element and is the best
-possible interposition, which keeps the test linear in the base size.
+bit per hyperpoint. A topology on CL(X) is represented by its subbase
+alone. On a finite space every hyperpoint p has a minimal neighbourhood,
+the intersection of the subbase members through p, and these are the
+smallest base of the topology: an open set is exactly a union of them.
+Refinement is therefore decided pointwise without enumerating a base:
+left refines right iff each hyperpoint's minimal left neighbourhood lies
+inside its minimal right one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
     CapExceededError,
-    DEFAULT_BASE_CAP,
     DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_HYPER_CAP,
     HyperspaceMismatchError,
@@ -128,22 +128,43 @@ def sf_miss_set(
 
 @dataclass(frozen=True)
 class HyperTopologyBase:
-    """A subbase on CL(X) together with its finite-intersection base.
+    """A subbase on CL(X) and the topology it generates.
 
-    `cl` is the enumerated hyperspace the family masks refer to; `base`
-    is every finite intersection of subbase members (the empty
-    intersection contributes the full hyperspace), ascending and deduped.
+    `cl` is the enumerated hyperspace the family masks refer to; the
+    subbase is ascending and deduped, and the topology is read off its
+    minimal neighbourhoods.
     """
 
     space: GroundSpace
     cl: tuple[int, ...]
     kind: str
     subbase: tuple[HyperFamily, ...]
-    base: tuple[int, ...]
 
     @property
     def full_family(self) -> int:
         return (1 << len(self.cl)) - 1
+
+    @cached_property
+    def minimal_neighbourhoods(self) -> tuple[int, ...]:
+        """Per hyperpoint, the intersection of the subbase members through it.
+
+        A hyperpoint no member contains gets the full family (the empty
+        intersection).
+        """
+        mins = [self.full_family] * len(self.cl)
+        for fam in self.subbase:
+            rest = fam.mask
+            while rest:
+                low = rest & -rest
+                idx = low.bit_length() - 1
+                rest ^= low
+                mins[idx] &= fam.mask
+        return tuple(mins)
+
+    @property
+    def base(self) -> tuple[int, ...]:
+        """The distinct minimal neighbourhoods, ascending: the smallest base."""
+        return tuple(sorted(set(self.minimal_neighbourhoods)))
 
 
 TOPOLOGY_KINDS = ("vietoris", "fell", "hit_and_miss", "far_miss", "sf_miss")
@@ -161,26 +182,6 @@ def _dedup_subbase(families: list[HyperFamily]) -> tuple[HyperFamily, ...]:
     return tuple(HyperFamily(m, tuple(merged[m])) for m in sorted(order))
 
 
-def _close_under_intersection(
-    subbase: tuple[HyperFamily, ...], full: int, cap: int
-) -> tuple[int, ...]:
-    base = {full}
-    frontier = [full]
-    gens = sorted({f.mask for f in subbase})
-    while frontier:
-        nxt = []
-        for g in gens:
-            for b in frontier:
-                m = g & b
-                if m not in base:
-                    base.add(m)
-                    nxt.append(m)
-                    if len(base) > cap:
-                        raise CapExceededError("base generation", len(base), cap)
-        frontier = nxt
-    return tuple(sorted(base))
-
-
 def build_topology(
     space: GroundSpace,
     kind: str,
@@ -189,9 +190,8 @@ def build_topology(
     ideal: Optional[CompactnessIdeal] = None,
     family: Optional[tuple[int, ...]] = None,
     hyper_cap: int = DEFAULT_HYPER_CAP,
-    base_cap: int = DEFAULT_BASE_CAP,
 ) -> HyperTopologyBase:
-    """Build a hit-and-miss style topology base on CL(X).
+    """Build a hit-and-miss style topology on CL(X) from its subbase.
 
     Kinds join the hit sets of every open with a miss half:
 
@@ -248,15 +248,13 @@ def build_topology(
             raise ToolkitError("sf_miss topology needs a proximity")
         families.extend(sf_miss_set(prox, a, hyper_cap=hyper_cap) for a in space.opens)
 
-    subbase = _dedup_subbase(families)
-    base = _close_under_intersection(subbase, (1 << len(cl)) - 1, base_cap)
-    return HyperTopologyBase(space, cl, kind, subbase, base)
+    return HyperTopologyBase(space, cl, kind, _dedup_subbase(families))
 
 
 @dataclass(frozen=True)
 class RefinesResult:
     refines: bool
-    # on failure: (right base element, hyperpoint index) with no interposition
+    # on failure: (minimal right neighbourhood of p, hyperpoint index p)
     witness: Optional[tuple[int, int]] = None
 
 
@@ -271,31 +269,17 @@ def _check_same_hyperspace(left: HyperTopologyBase, right: HyperTopologyBase) ->
 def refines(left: HyperTopologyBase, right: HyperTopologyBase) -> RefinesResult:
     """Does left's topology contain right's?
 
-    Pointwise test: every base element G of right must, at each of its
-    hyperpoints p, admit a left base element G' with p in G' inside G.
-    The minimal left neighborhood of p (intersection of all left subbase
-    members through p) decides existence; the witness on failure is the
-    first (G, p) in ascending order.
+    A right-open set U is left-open iff it contains the minimal left
+    neighbourhood of each of its hyperpoints, and the minimal right
+    neighbourhood of p is the smallest right-open set through p. So left
+    refines right iff minL(p) lies inside minR(p) for every p; on failure
+    the witness is (minR(p), p) for the first such p in ascending order.
     """
     _check_same_hyperspace(left, right)
-    count = len(left.cl)
-    full = (1 << count) - 1
-    min_nbhd = []
-    for idx in range(count):
-        m = full
-        bit = 1 << idx
-        for fam in left.subbase:
-            if fam.mask & bit:
-                m &= fam.mask
-        min_nbhd.append(m)
-    for g in right.base:
-        rest = g
-        while rest:
-            low = rest & -rest
-            idx = low.bit_length() - 1
-            rest ^= low
-            if min_nbhd[idx] & ~g:
-                return RefinesResult(False, (g, idx))
+    pairs = zip(left.minimal_neighbourhoods, right.minimal_neighbourhoods)
+    for idx, (lmin, rmin) in enumerate(pairs):
+        if lmin & ~rmin:
+            return RefinesResult(False, (rmin, idx))
     return RefinesResult(True)
 
 

@@ -5,7 +5,10 @@ kernel: for each axiom it walks pairs or triples of masks in ascending
 order through a `near` predicate and returns the first violation. It sees
 a relation only through `rule_near`, which calls the relation's rule
 directly, so it never touches the matrix under test. `topology_witnesses`
-is the pair scan of the open-family axioms.
+is the pair scan of the open-family axioms. `close_under_intersection`
+and `base_refines` are the hyperspace refinement test that enumerated
+every finite intersection of a subbase before minimal neighbourhoods
+replaced it.
 """
 
 from proxitop.proximity import AXIOM_NAMES
@@ -156,3 +159,47 @@ def topology_witnesses(opens):
             if intersection_witness is None and (a & b) not in members:
                 intersection_witness = (a, b)
     return union_witness, intersection_witness
+
+
+def close_under_intersection(masks, full):
+    """Every finite intersection of `masks` (the empty one is `full`), ascending."""
+    base = {full}
+    frontier = [full]
+    gens = sorted(set(masks))
+    while frontier:
+        nxt = []
+        for g in gens:
+            for b in frontier:
+                m = g & b
+                if m not in base:
+                    base.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return tuple(sorted(base))
+
+
+def subbase_neighbourhoods(masks, count):
+    """Per point, the intersection of the members of `masks` through it."""
+    full = (1 << count) - 1
+    out = []
+    for idx in range(count):
+        m = full
+        for g in masks:
+            if g >> idx & 1:
+                m &= g
+        out.append(m)
+    return out
+
+
+def base_refines(left_masks, right_base, count):
+    """(refines, first (G, p) in right_base order with no left interposition)."""
+    min_nbhd = subbase_neighbourhoods(left_masks, count)
+    for g in right_base:
+        rest = g
+        while rest:
+            low = rest & -rest
+            idx = low.bit_length() - 1
+            rest ^= low
+            if min_nbhd[idx] & ~g:
+                return False, (g, idx)
+    return True, None

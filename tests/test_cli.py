@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxitop.cli import main
 from proxitop.modelfile import parse_file
@@ -161,6 +162,58 @@ class TestRobustness:
         assert code == 1
         assert "--cap-n" in err
 
+    def test_search_out_unwritable_exit_1(self, tmp_path):
+        out_path = tmp_path / "missing" / "w.yaml"
+        code, out, err = run_cli(
+            "search", "--target", "basic-not-lodato", "--max-n", "3", "--out", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: cannot write --out file")
+        assert "Traceback" not in err
+
+
+MODEL_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(MODELS.glob("*.yaml"))]
+# The compare call carries a hyperspace cap: a 10-point model's 1023
+# hyperpoints cost seconds in far_miss_set, and exit 3 is an allowed outcome.
+FUZZ_COMMANDS = [
+    ("validate",),
+    ("relations",),
+    ("compare", "--left", "vietoris", "--right", "far_miss", "--cap-hyper", "256"),
+]
+YAML_CHARS = st.one_of(
+    st.sampled_from(list(" \n:-,[]{}#'\"&*!|>?%@`0123456789abcdpq")),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@st.composite
+def mutated_models(draw):
+    text = list(draw(st.sampled_from(MODEL_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        text[draw(st.integers(0, len(text) - 1))] = draw(YAML_CHARS)
+    return "".join(text).encode("utf-8")
+
+
+class TestFuzz:
+    """Arbitrary file contents end in an exit code, never in an exception."""
+
+    def check(self, tmp_path_factory, data, command):
+        path = tmp_path_factory.mktemp("fuzz") / "model.yaml"
+        path.write_bytes(data)
+        code, _, _ = run_cli(command[0], str(path), *command[1:], "--no-timestamp")
+        assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=300), command=st.sampled_from(FUZZ_COMMANDS))
+    def test_random_bytes(self, tmp_path_factory, data, command):
+        self.check(tmp_path_factory, data, command)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=mutated_models(), command=st.sampled_from(FUZZ_COMMANDS))
+    def test_mutated_models(self, tmp_path_factory, data, command):
+        self.check(tmp_path_factory, data, command)
+
 
 class TestRelations:
     def test_line_gap_endpoints(self):
@@ -200,6 +253,15 @@ class TestRelations:
         )
         assert code == 1
         assert "Z" in err
+
+    def test_cap_n_bounds_the_witness_searches(self):
+        path = str(MODELS / "alexandroff_ideal.yaml")
+        code, _, err = run_cli("relations", path, "--cap-n", "3")
+        assert code == 3
+        assert "strongly_far" in err
+        default = run_cli("relations", path, "--no-timestamp")
+        assert default[0] == 0
+        assert run_cli("relations", path, "--no-timestamp", "--cap-n", "4") == default
 
     def test_all_pairs(self):
         code, out, _ = run_cli(
@@ -262,6 +324,18 @@ class TestCompare:
         )
         assert code == 0
         assert "verdict: equal" in out
+
+    def test_six_point_discrete_hit_half(self, tmp_path):
+        path = tmp_path / "discrete6.yaml"
+        path.write_text("points: 6\ntopology: discrete\nproximity: {kind: overlap}\n")
+        code, out, err = run_cli(
+            "compare", str(path), "--left", "vietoris", "--right", "far_miss", "--json",
+            "--no-timestamp",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verdict"] == "equal"
+        assert doc["hyperpoints"] == 63
 
     def test_unknown_spec_usage_error(self):
         code, _, err = run_cli(

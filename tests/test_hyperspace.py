@@ -1,5 +1,8 @@
 """CL(X) enumeration, subbase families, topology bases and comparison."""
 
+import functools
+import operator
+
 import pytest
 
 from proxitop import (
@@ -26,7 +29,9 @@ from proxitop import (
     refines,
     sf_miss_set,
 )
-from proxitop.hyperspace import HyperTopologyBase
+from proxitop.hyperspace import MISS_ONLY_KINDS, TOPOLOGY_KINDS, HyperTopologyBase
+from proxitop.search import enumerate_topologies
+from reference import base_refines, close_under_intersection, subbase_neighbourhoods
 
 
 def family_members(space, fam):
@@ -168,9 +173,12 @@ class TestBuildTopology:
         assert any(tag == "miss" for fam in topo.subbase for tag, _ in fam.provenance)
 
     def test_subbase_members_in_base(self, discrete3):
+        # the base generates the topology: each subbase member is the
+        # union of the base elements inside it
         topo = build_topology(discrete3, "vietoris")
         for fam in topo.subbase:
-            assert fam.mask in topo.base
+            inside = [b for b in topo.base if b & ~fam.mask == 0]
+            assert fam.mask == functools.reduce(operator.or_, inside, 0)
 
     def test_provenance_replays(self, discrete3):
         prox = overlap_proximity(discrete3)
@@ -190,8 +198,7 @@ class TestBuildTopology:
 
 
 def trivial_base(space):
-    cl = enumerate_cl(space)
-    return HyperTopologyBase(space, cl, "custom", (), ((1 << len(cl)) - 1,))
+    return HyperTopologyBase(space, enumerate_cl(space), "custom", ())
 
 
 class TestRefinesCompare:
@@ -213,13 +220,8 @@ class TestRefinesCompare:
         from proxitop import HyperFamily
 
         cl = enumerate_cl(discrete2)
-        full = (1 << len(cl)) - 1
-        left = HyperTopologyBase(
-            discrete2, cl, "custom", (HyperFamily(0b001),), (0b001, full)
-        )
-        right = HyperTopologyBase(
-            discrete2, cl, "custom", (HyperFamily(0b010),), (0b010, full)
-        )
+        left = HyperTopologyBase(discrete2, cl, "custom", (HyperFamily(0b001),))
+        right = HyperTopologyBase(discrete2, cl, "custom", (HyperFamily(0b010),))
         assert compare(left, right).verdict == "incomparable"
 
     def test_transitive(self, discrete3):
@@ -243,6 +245,95 @@ class TestRefinesCompare:
         result = compare(left, right)
         # the non-transitive path relation strictly separates the halves
         assert result.verdict == "left-strictly-finer"
+
+
+def _reference_verdict(left, right):
+    """Verdict and both witnesses from the enumerated finite-intersection bases."""
+    count = len(left.cl)
+    full = (1 << count) - 1
+    lmasks = [f.mask for f in left.subbase]
+    rmasks = [f.mask for f in right.subbase]
+    lr = base_refines(lmasks, close_under_intersection(rmasks, full), count)
+    rl = base_refines(rmasks, close_under_intersection(lmasks, full), count)
+    verdict = {
+        (True, True): "equal",
+        (True, False): "left-strictly-finer",
+        (False, True): "right-strictly-finer",
+        (False, False): "incomparable",
+    }[(lr[0], rl[0])]
+    return verdict, lr, rl
+
+
+def _assert_witness(result, finer, coarser):
+    """A failed refinement's (g, p): p fails first, g holds p, minL(p) escapes g."""
+    count = len(finer.cl)
+    full = (1 << count) - 1
+    lmin = subbase_neighbourhoods([f.mask for f in finer.subbase], count)
+    right_base = close_under_intersection([f.mask for f in coarser.subbase], full)
+    failing = [
+        p for p in range(count) if any(g >> p & 1 and lmin[p] & ~g for g in right_base)
+    ]
+    g, p = result.witness
+    assert p == failing[0]
+    assert g >> p & 1
+    assert lmin[p] & ~g
+
+
+def _path_proximity(space):
+    n = space.n
+    return point_generated_proximity(
+        space, PointRelation.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    )
+
+
+class TestAgainstEnumeratedBase:
+    """Minimal-neighbourhood refinement against the finite-intersection base."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_topology(self, n):
+        specs = TOPOLOGY_KINDS + MISS_ONLY_KINDS
+        for opens in enumerate_topologies(n):
+            space = GroundSpace.create(n, list(opens))
+            ideal = CompactnessIdeal.all_closed(space)
+            for prox in (overlap_proximity(space), _path_proximity(space)):
+                topos = [
+                    build_topology(
+                        space, spec, prox=prox, ideal=ideal, family=ideal.sorted_members()
+                    )
+                    for spec in specs
+                ]
+                for left in topos:
+                    for right in topos:
+                        result = compare(left, right)
+                        verdict, lr, rl = _reference_verdict(left, right)
+                        assert result.verdict == verdict, (opens, left.kind, right.kind)
+                        for got, want, finer, coarser in (
+                            (result.left_refines_right, lr, left, right),
+                            (result.right_refines_left, rl, right, left),
+                        ):
+                            assert got.refines == want[0]
+                            if not got.refines:
+                                _assert_witness(got, finer, coarser)
+
+    def test_base_is_the_minimal_one(self, discrete3):
+        # every reference base element is a union of minimal-base elements,
+        # and each minimal-base element is a reference base element
+        topo = build_topology(discrete3, "far_miss", prox=_path_proximity(discrete3))
+        ref = close_under_intersection([f.mask for f in topo.subbase], topo.full_family)
+        assert set(topo.base) <= set(ref)
+        for g in ref:
+            inside = [b for b in topo.base if b & ~g == 0]
+            assert g == functools.reduce(operator.or_, inside, 0)
+
+    def test_six_point_discrete_hit_half(self):
+        space = GroundSpace.discrete(6)
+        prox = overlap_proximity(space)
+        viet = build_topology(space, "vietoris")
+        fm = build_topology(space, "far_miss", prox=prox)
+        assert len(viet.cl) == 63
+        assert compare(viet, fm).verdict == "equal"
+        # Vietoris on a discrete space is discrete: each hyperpoint is open
+        assert viet.base == tuple(1 << i for i in range(63))
 
 
 class TestInclusionContainment:
