@@ -2,7 +2,7 @@
 
 Every subset of an n-point ground set is a plain int: bit i set means
 point i is in. A space is just the point count plus the family of open
-masks, and closure/interior scan that family.
+masks; closure and interior read a table built once from that family.
 """
 
 from proxitop import (

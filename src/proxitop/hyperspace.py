@@ -90,14 +90,22 @@ def far_miss_set(
 
     With A = X the complement is empty and every hyperpoint is included,
     matching the convention that everything is far from the empty set.
+    Up to DEFAULT_EXHAUSTIVE_CAP points each hyperpoint E is one bit of
+    the relation's dense near matrix, row E, column X\\A. Past that cap the
+    4^n-bit matrix is not built and each pair goes through `near`.
     """
     space = prox.space
     _require_open(space, a, "far-miss parameter")
     cl = enumerate_cl(space, cap=cap)
     comp = space.complement(a)
+    if space.n <= DEFAULT_EXHAUSTIVE_CAP:
+        rows = prox.matrix()
+        near_comp = [rows[e] >> comp & 1 for e in cl]
+    else:
+        near_comp = [prox.near(e, comp) for e in cl]
     mask = 0
-    for idx, e in enumerate(cl):
-        if comp == 0 or prox.far(e, comp):
+    for idx, near in enumerate(near_comp):
+        if comp == 0 or not near:
             mask |= 1 << idx
     return HyperFamily(mask, (("far-miss", a),))
 

@@ -18,7 +18,7 @@ replay script of public-operation calls that re-exhibits the property.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional
@@ -349,23 +349,12 @@ def candidate_models(target: SearchTarget, seed: int) -> Iterator[tuple[str, Mod
 # -- per-target witness tests ------------------------------------------
 
 
-def replace_model(model: Model, **kw) -> Model:
-    return Model(
-        space=kw.get("space", model.space),
-        proximity=kw.get("proximity", model.proximity),
-        metric=kw.get("metric", model.metric),
-        ideal=kw.get("ideal", model.ideal),
-        subsets=kw.get("subsets", dict(model.subsets)),
-        replay=kw.get("replay", model.replay),
-    )
-
-
 def _test_basic_not_lodato(model: Model) -> Optional[Model]:
     rep = check_axioms(model.proximity)
     if rep.classification != CLASS_BASIC:
         return None
     a, b, c = rep.verdicts["P4"].witness
-    return replace_model(
+    return replace(
         model,
         subsets={"A": a, "B": b, "C": c},
         replay=(
@@ -379,7 +368,7 @@ def _test_lodato_not_ef(model: Model) -> Optional[Model]:
     if rep.classification != CLASS_LODATO:
         return None
     a, b = rep.verdicts["EF"].witness
-    return replace_model(
+    return replace(
         model,
         subsets={"A": a, "B": b},
         replay=(
@@ -401,7 +390,7 @@ def _test_far_not_sf(model: Model) -> Optional[Model]:
             if b == 0 or prox.near(a, b):
                 continue
             if not strongly_far(prox, a, b).holds:
-                return replace_model(
+                return replace(
                     model,
                     subsets={"A": a, "B": b},
                     replay=(
@@ -430,7 +419,7 @@ def _test_sf_not_hat(model: Model) -> Optional[Model]:
             if b == 0:
                 continue
             if strongly_far(prox, a, b).holds and not hat_strongly_far(space, a, b).holds:
-                return replace_model(
+                return replace(
                     model,
                     subsets={"A": a, "B": b},
                     replay=(
@@ -454,7 +443,7 @@ def _test_lemma37_violation(model: Model) -> Optional[Model]:
     if not rep.applicable or not rep.violations:
         return None
     u, w = rep.violations[0]
-    return replace_model(
+    return replace(
         model,
         subsets={"U": u, "W": w},
         replay=(
@@ -476,7 +465,7 @@ def _test_incomparable(model: Model) -> Optional[Model]:
     right = build_topology(model.space, "sf_miss_only", prox=prox)
     if compare(left, right).verdict != VERDICT_INCOMPARABLE:
         return None
-    return replace_model(
+    return replace(
         model,
         replay=(
             {

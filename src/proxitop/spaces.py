@@ -2,9 +2,10 @@
 
 A ground set of ``n`` points is indexed ``0..n-1`` and every subset is a
 plain ``int`` whose bit ``i`` says whether point ``i`` is in. The space
-stores its topology as the explicit family of open masks; closure and
-interior scan that family. All emitted families are in ascending mask
-order so reports are byte-stable.
+stores its topology as the explicit family of open masks, and reads
+closure and interior off one dense table built from that family: entry m
+is the meet of the closed supersets of m. All emitted families are in
+ascending mask order so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -224,8 +225,33 @@ class GroundSpace:
         return tuple(sorted(self.complement(m) for m in self.opens))
 
     @cached_property
-    def _closure_cache(self) -> dict[int, int]:
-        return {}
+    def closures(self) -> tuple[int, ...]:
+        """Per mask m, the meet of the closed supersets of m (full if none).
+
+        Seeded with each closed mask at its own index and the full mask
+        elsewhere, then swept once per point: a mask lacking bit i takes
+        the meet with its superset that has it. After the sweep entry m is
+        the meet over every seeded superset of m, in n 2^n word operations.
+        The sweep never assumes the family is a topology, so it is exact
+        on the broken families `validate_topology` reports on.
+        """
+        n = self.n
+        table = [self.full_mask] * (1 << n)
+        for c in self.closed:
+            table[c] = c
+        for i in range(n):
+            bit = 1 << i
+            for m in range(1 << n):
+                if not m & bit:
+                    table[m] &= table[m | bit]
+        return tuple(table)
+
+    @cached_property
+    def regular_open_hulls(self) -> tuple[int, ...]:
+        """Per mask m, int(cl m), read off the closure table."""
+        cl = self.closures
+        full = self.full_mask
+        return tuple(full ^ cl[full ^ c] for c in cl)
 
     def format(self, mask: int) -> str:
         return self.points.format(mask)
@@ -289,22 +315,15 @@ def _generated_by_minimal_neighbourhoods(n: int, members: set[int]) -> bool:
 
 
 def closure(space: GroundSpace, mask: int) -> int:
-    """Smallest closed superset of `mask` (meet of all closed supersets)."""
-    cache = space._closure_cache
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
-    result = space.full_mask
-    for c in space.closed:
-        if mask & ~c == 0:
-            result &= c
-    cache[mask] = result
-    return result
+    """Smallest closed superset of `mask` (meet of all closed supersets),
+    read from the space's closure table."""
+    return space.closures[mask]
 
 
 def interior(space: GroundSpace, mask: int) -> int:
-    """Largest open subset of `mask`; dual of closure."""
-    return space.complement(closure(space, space.complement(mask)))
+    """Largest open subset of `mask`; dual of closure, from the same table."""
+    full = space.full_mask
+    return full ^ space.closures[full ^ mask]
 
 
 def is_T1(space: GroundSpace) -> bool:
@@ -320,7 +339,7 @@ def closed_sets(space: GroundSpace) -> tuple[int, ...]:
 def regular_open_hull(space: GroundSpace, mask: int) -> int:
     """int(cl(mask)); idempotent on open sets, its fixed points are the
     regular open sets."""
-    return interior(space, closure(space, mask))
+    return space.regular_open_hulls[mask]
 
 
 # -- metrics -----------------------------------------------------------

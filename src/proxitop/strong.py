@@ -87,7 +87,8 @@ def hat_strongly_far(
 
     The naive search is over pairs (E, C); since the conditions only see
     int(cl E), candidates collapse to the distinct regular-open hulls and
-    the best C for each hull is memoized. The returned witness is still
+    the best C for each hull is memoized. Hulls come from the space's
+    cached table, built once per space. The returned witness is still
     the first raw (E, C) pair in lexicographic mask order.
     """
     if a == 0 or b == 0:
@@ -97,7 +98,7 @@ def hat_strongly_far(
         raise CapExceededError("hat_strongly_far", n, cap)
     if a & b:  # hulls covering A and B would meet inside A & B
         return WitnessResult(holds=False)
-    hulls = [regular_open_hull(space, m) for m in all_masks(n)]
+    hulls = space.regular_open_hulls
     best_c: dict[int, int] = {}
     for e in all_masks(n):
         u = hulls[e]

@@ -8,7 +8,9 @@ directly, so it never touches the matrix under test. `topology_witnesses`
 is the pair scan of the open-family axioms. `close_under_intersection`
 and `base_refines` are the hyperspace refinement test that enumerated
 every finite intersection of a subbase before minimal neighbourhoods
-replaced it.
+replaced it. `scan_closure` is the per-mask scan of the closed sets that
+the dense closure table replaced, and `far_miss_mask` is the far-miss
+loop that asked `near` once per hyperpoint before it read matrix rows.
 """
 
 from proxitop.proximity import AXIOM_NAMES
@@ -203,3 +205,21 @@ def base_refines(left_masks, right_base, count):
             if min_nbhd[idx] & ~g:
                 return False, (g, idx)
     return True, None
+
+
+def scan_closure(space, mask):
+    """Meet of the closed supersets of `mask`, scanning every closed set."""
+    result = space.full_mask
+    for c in space.closed:
+        if mask & ~c == 0:
+            result &= c
+    return result
+
+
+def far_miss_mask(near, cl, comp):
+    """Bitmask over `cl` of the hyperpoints far from `comp` (all if it is empty)."""
+    mask = 0
+    for idx, e in enumerate(cl):
+        if comp == 0 or not near(e, comp):
+            mask |= 1 << idx
+    return mask

@@ -2,6 +2,7 @@
 
 import functools
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +31,17 @@ from proxitop import (
     sf_miss_set,
 )
 from proxitop.hyperspace import MISS_ONLY_KINDS, TOPOLOGY_KINDS, HyperTopologyBase
+from proxitop.modelfile import parse_file
 from proxitop.search import enumerate_topologies
-from reference import base_refines, close_under_intersection, subbase_neighbourhoods
+from reference import (
+    base_refines,
+    close_under_intersection,
+    far_miss_mask,
+    rule_near,
+    subbase_neighbourhoods,
+)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def family_members(space, fam):
@@ -334,6 +344,37 @@ class TestAgainstEnumeratedBase:
         assert compare(viet, fm).verdict == "equal"
         # Vietoris on a discrete space is discrete: each hyperpoint is open
         assert viet.base == tuple(1 << i for i in range(63))
+
+
+class TestFarMissAgainstReference:
+    """far_miss_set's matrix reads against the per-pair loop on the rule."""
+
+    @staticmethod
+    def assert_matches_reference(prox, opens):
+        space = prox.space
+        cl = enumerate_cl(space)
+        near = rule_near(prox)
+        for a in opens:
+            assert far_miss_set(prox, a).mask == far_miss_mask(near, cl, space.complement(a)), a
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_topology(self, n):
+        for opens in enumerate_topologies(n):
+            space = GroundSpace.create(n, list(opens))
+            for prox in (overlap_proximity(space), _path_proximity(space)):
+                self.assert_matches_reference(prox, space.opens)
+
+    def test_line_gap_model(self):
+        prox = parse_file(str(MODELS / "line_gap.yaml")).proximity
+        assert prox.space.n == 10
+        self.assert_matches_reference(prox, prox.space.opens)
+
+    def test_past_the_matrix_cap(self):
+        # 11 points: the 4^n-bit matrix is not built, each pair asks `near`
+        space = GroundSpace.from_partition([[0, 1, 2], [3, 4], [5, 6, 7, 8], [9, 10]])
+        prox = _path_proximity(space)
+        self.assert_matches_reference(prox, space.opens)
+        assert prox._rows is None
 
 
 class TestInclusionContainment:

@@ -11,6 +11,7 @@ from proxitop import (
     PointRelation,
     ToolkitError,
     all_masks,
+    bits_of,
     alexandroff_proximity,
     check_axioms,
     closure,
@@ -319,3 +320,40 @@ class TestConstructorInvariants:
         space = GroundSpace.discrete(n)
         report = check_axioms(gap_proximity(space, Metric.line(n), eps))
         assert report.passed("P0") and report.passed("P1")
+
+
+class TestFiniteCollapse:
+    """On a finite set: basic <=> point-generated by a reflexive relation,
+    Lodato <=> that relation is transitive, and transitive => EF."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_point_relation(self, n):
+        space = GroundSpace.discrete(n)
+        for rel in enumerate_point_relations(n):
+            report = check_axioms(point_generated_proximity(space, rel))
+            assert report.is_basic, rel
+            assert report.is_lodato == rel.is_transitive(), rel
+            assert report.is_ef == rel.is_transitive(), rel
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_table(self, n):
+        space = GroundSpace.discrete(n)
+        masks = list(all_masks(n))
+        pairs = [(a, b) for a in masks for b in masks if a <= b]
+        basic = 0
+        for table_id in range(1 << len(pairs)):
+            chosen = {pairs[k] for k in range(len(pairs)) if table_id >> k & 1}
+            report = check_axioms(table_proximity(space, chosen))
+            near = lambda a, b: (min(a, b), max(a, b)) in chosen  # noqa: E731
+            rows = [sum(1 << j for j in range(n) if near(1 << i, 1 << j)) for i in range(n)]
+            point_generated = all(rows[i] >> i & 1 for i in range(n)) and all(
+                near(a, b) == any(rows[i] & b for i in bits_of(a)) for a, b in pairs
+            )
+            assert report.is_basic == point_generated, chosen
+            if point_generated:
+                basic += 1
+                transitive = PointRelation(tuple(rows)).is_transitive()
+                assert report.is_lodato == transitive, chosen
+                assert report.is_ef == transitive, chosen
+        # one basic table per reflexive symmetric point relation
+        assert basic == len(list(enumerate_point_relations(n)))

@@ -15,8 +15,10 @@ from proxitop import (
     closure,
     interior,
     is_T1,
+    regular_open_hull,
     validate_topology,
 )
+from reference import scan_closure
 
 
 def brute_closure(space, s):
@@ -121,6 +123,32 @@ class TestClosureInterior:
         assert closed_sets(GroundSpace.indiscrete(2)) == (0, 0b11)
         space = GroundSpace.create(3, [0, 0b001, 0b011, 0b111])
         assert closed_sets(space) == (0, 0b100, 0b110, 0b111)
+
+
+def assert_closure_table_exact(space):
+    full = space.full_mask
+    for m in all_masks(space.n):
+        cl = brute_closure(space, m)
+        assert closure(space, m) == cl == scan_closure(space, m)
+        assert interior(space, m) == full ^ brute_closure(space, full ^ m)
+        assert regular_open_hull(space, m) == full ^ brute_closure(space, full ^ cl)
+
+
+class TestClosureTable:
+    """The swept table against closed-superset scans, on any open family."""
+
+    def test_every_family_on_three_points(self):
+        # all 256 families, most of them not topologies
+        for family in range(1 << 8):
+            opens = tuple(m for m in range(8) if family >> m & 1)
+            assert_closure_table_exact(GroundSpace(PointSet(3), opens))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_families_up_to_seven_points(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        opens = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=24))
+        assert_closure_table_exact(GroundSpace(PointSet(n), tuple(opens)))
 
 
 def space_strategy(max_n=4):
