@@ -32,12 +32,11 @@ from .proximity import (
     is_compatible,
 )
 from .spaces import GroundSpace
-from .strong import _raw_strongly_far
 
 
 def enumerate_cl(space: GroundSpace, *, cap: int = DEFAULT_HYPER_CAP) -> tuple[int, ...]:
     """All nonempty closed masks, ascending: the hyperpoints of CL(X)."""
-    cl = tuple(m for m in space.closed if m != 0)
+    cl = space.nonempty_closed
     if len(cl) > cap:
         raise CapExceededError("enumerate_cl", len(cl), cap)
     return cl
@@ -119,7 +118,10 @@ def sf_miss_set(
 ) -> HyperFamily:
     """{ E in CL(X) : E strongly far from X\\A }, for open A.
 
-    `cap` bounds the point count, `hyper_cap` bounds |CL(X)|.
+    `cap` bounds the point count, `hyper_cap` bounds |CL(X)|. With
+    B = X\\A, E is strongly far from B iff it is far from B and from some
+    X\\C with C far from B; those X\\C are B's far row of the dense matrix,
+    index-reversed, and only that one row is reversed per call.
     """
     space = prox.space
     _require_open(space, a, "strongly-far-miss parameter")
@@ -127,9 +129,13 @@ def sf_miss_set(
         raise CapExceededError("sf_miss_set", space.n, cap)
     cl = enumerate_cl(space, cap=hyper_cap)
     comp = space.complement(a)
+    rows = prox.matrix()
+    size = 1 << space.n
+    far_comp = ((1 << size) - 1) ^ rows[comp]
+    sep = int(format(far_comp, f"0{size}b")[::-1], 2)
     mask = 0
     for idx, e in enumerate(cl):
-        if comp == 0 or _raw_strongly_far(prox, e, comp) is not None:
+        if comp == 0 or not rows[e] >> comp & 1 and sep & ~rows[e]:
             mask |= 1 << idx
     return HyperFamily(mask, (("sf-miss", a),))
 

@@ -575,6 +575,20 @@ def _low(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _far_rows(prox: ProximityRelation) -> tuple[list[int], list[int]]:
+    """The far rows of the dense matrix and their index-reversed twins.
+
+    Bit b of `far[a]` says a is far from b; bit e of `flipped[a]` says a
+    is far from X\\e. A far pair (a, b) is EF-separated, which is to say
+    strongly far, iff `far[a] & flipped[b]`; its first strongly-far
+    witness C is the low bit of `flipped[a] & far[b]`.
+    """
+    size = 1 << prox.space.n
+    everything = (1 << size) - 1
+    far = [everything ^ row for row in prox.matrix()]
+    return far, [int(format(f, f"0{size}b")[::-1], 2) for f in far]
+
+
 def _matrix_witnesses(prox: ProximityRelation, requested: tuple[str, ...]) -> dict[str, Witness]:
     """First violation of each requested axiom, read off the dense matrix.
 
@@ -588,7 +602,10 @@ def _matrix_witnesses(prox: ProximityRelation, requested: tuple[str, ...]) -> di
     everything = (1 << size) - 1
     rows = prox.matrix()
     meets, subsets_of = _mask_tables(n)
-    far = [everything ^ row for row in rows]
+    if "EF" in requested or "EF-betweenness" in requested:
+        far, flipped = _far_rows(prox)
+    else:
+        far = [everything ^ row for row in rows]
     out: dict[str, Witness] = {}
 
     if "P0" in requested:
@@ -643,10 +660,6 @@ def _matrix_witnesses(prox: ProximityRelation, requested: tuple[str, ...]) -> di
             ),
             None,
         )
-
-    if "EF" in requested or "EF-betweenness" in requested:
-        # Index-reversed far rows: bit e of flipped[b] says X\e is far from b.
-        flipped = [int(format(f, f"0{size}b")[::-1], 2) for f in far]
 
     if "EF" in requested:
         # A far pair (a, b) is separated iff some E is far from a with

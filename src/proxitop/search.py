@@ -47,7 +47,7 @@ from .proximity import (
     table_proximity,
 )
 from .spaces import GroundSpace, Metric, all_masks, bits_of, is_T1
-from .strong import hat_strongly_far, strongly_far
+from .strong import check_sf_implies_hat, hat_strongly_far, strongly_far
 
 TARGET_NAMES = (
     "basic-not-lodato",
@@ -136,23 +136,18 @@ def enumerate_point_relations(n: int, *, up_to_iso: bool = False) -> Iterator[Po
     if n > MAX_SEARCH_N:
         raise ToolkitError(f"point relation enumeration capped at n={MAX_SEARCH_N}")
     pairs = _pair_order(n)
-    perms = list(permutations(range(n))) if up_to_iso else None
+    # Per relabeling, the index each pair index is sent to; built once.
+    edge_maps = []
+    if up_to_iso:
+        index = {pair: k for k, pair in enumerate(pairs)}
+        for p in permutations(range(n)):
+            edge_maps.append([index[tuple(sorted((p[i], p[j])))] for i, j in pairs])
     for edges in range(1 << len(pairs)):
-        if perms is not None:
-            canon = min(_permute_edges(edges, pairs, p) for p in perms)
+        if edge_maps:
+            canon = min(sum(1 << m[k] for k in bits_of(edges)) for m in edge_maps)
             if canon != edges:
                 continue
         yield PointRelation.from_pairs(n, [pairs[k] for k in bits_of(edges)])
-
-
-def _permute_edges(edges: int, pairs: list[tuple[int, int]], perm: tuple[int, ...]) -> int:
-    index = {pair: k for k, pair in enumerate(pairs)}
-    out = 0
-    for k in bits_of(edges):
-        i, j = pairs[k]
-        a, b = perm[i], perm[j]
-        out |= 1 << index[(a, b) if a < b else (b, a)]
-    return out
 
 
 def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
@@ -378,64 +373,36 @@ def _test_lodato_not_ef(model: Model) -> Optional[Model]:
 
 
 def _test_far_not_sf(model: Model) -> Optional[Model]:
-    prox = model.proximity
-    rep = check_axioms(prox)
-    if not rep.is_lodato:
+    # A far pair is strongly far iff it passes EF's separation test, and
+    # on a basic relation the empty set never fails it, so the first
+    # far-not-strongly-far pair of a Lodato relation is its EF witness.
+    rep = check_axioms(model.proximity)
+    if rep.classification != CLASS_LODATO:
         return None
-    n = prox.space.n
-    for a in all_masks(n):
-        if a == 0:
-            continue
-        for b in all_masks(n):
-            if b == 0 or prox.near(a, b):
-                continue
-            if not strongly_far(prox, a, b).holds:
-                return replace(
-                    model,
-                    subsets={"A": a, "B": b},
-                    replay=(
-                        {"op": "far", "args": {"a": "A", "b": "B"}, "expect": {"value": True}},
-                        {
-                            "op": "strongly_far",
-                            "args": {"a": "A", "b": "B"},
-                            "expect": {"holds": False},
-                        },
-                    ),
-                )
-    return None
+    a, b = rep.verdicts["EF"].witness
+    return replace(
+        model,
+        subsets={"A": a, "B": b},
+        replay=(
+            {"op": "far", "args": {"a": "A", "b": "B"}, "expect": {"value": True}},
+            {"op": "strongly_far", "args": {"a": "A", "b": "B"}, "expect": {"holds": False}},
+        ),
+    )
 
 
 def _test_sf_not_hat(model: Model) -> Optional[Model]:
-    prox = model.proximity
-    space = model.space
-    rep = check_axioms(prox)
-    if not rep.is_lodato or not is_compatible(prox):
+    rep = check_sf_implies_hat(model.space, model.proximity)
+    if not rep.applicable or not rep.violations:
         return None
-    n = space.n
-    for a in all_masks(n):
-        if a == 0:
-            continue
-        for b in all_masks(n):
-            if b == 0:
-                continue
-            if strongly_far(prox, a, b).holds and not hat_strongly_far(space, a, b).holds:
-                return replace(
-                    model,
-                    subsets={"A": a, "B": b},
-                    replay=(
-                        {
-                            "op": "strongly_far",
-                            "args": {"a": "A", "b": "B"},
-                            "expect": {"holds": True},
-                        },
-                        {
-                            "op": "hat_strongly_far",
-                            "args": {"a": "A", "b": "B"},
-                            "expect": {"holds": False},
-                        },
-                    ),
-                )
-    return None
+    a, b = rep.violations[0]
+    return replace(
+        model,
+        subsets={"A": a, "B": b},
+        replay=(
+            {"op": "strongly_far", "args": {"a": "A", "b": "B"}, "expect": {"holds": True}},
+            {"op": "hat_strongly_far", "args": {"a": "A", "b": "B"}, "expect": {"holds": False}},
+        ),
+    )
 
 
 def _test_lemma37_violation(model: Model) -> Optional[Model]:

@@ -225,6 +225,11 @@ class GroundSpace:
         return tuple(sorted(self.complement(m) for m in self.opens))
 
     @cached_property
+    def nonempty_closed(self) -> tuple[int, ...]:
+        """The nonempty closed masks, ascending: the hyperpoints of CL(X)."""
+        return tuple(m for m in self.closed if m != 0)
+
+    @cached_property
     def closures(self) -> tuple[int, ...]:
         """Per mask m, the meet of the closed supersets of m (full if none).
 

@@ -3,8 +3,11 @@
 `strongly_far(A, B)` asks for a separating subset C with A far from X\\C
 and C far from B, on top of A far from B; the witness search sweeps all
 2^n candidates including the degenerate ends (empty and full), which are
-flagged when they win. `hat_strongly_far` is the purely topological
-variant: A and B must sit inside disjoint regular-open sets.
+flagged when they win. With E = X\\C this is the EF separation test, so
+the sweeps over all pairs read it off the dense matrix, one AND of rows
+per pair. `hat_strongly_far` is the purely topological variant: A and B
+must sit inside disjoint regular-open sets, found in one pass over the
+hulls through B's least regular-open cover.
 
 Empty inputs get a distinguished "degenerate" verdict instead of the
 vacuous one the raw definitions would produce, so theorem sweeps can
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, DEFAULT_WITNESS_CAP
-from .proximity import ProximityRelation, check_axioms, is_compatible
-from .spaces import GroundSpace, all_masks, regular_open_hull
+from .proximity import ProximityRelation, _far_rows, check_axioms, is_compatible
+from .spaces import GroundSpace, all_masks, bits_of, regular_open_hull
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,13 @@ def hat_strongly_far(
 ) -> WitnessResult:
     """Do disjoint regular-open hulls int(cl E), int(cl C) cover A and B?
 
-    The naive search is over pairs (E, C); since the conditions only see
-    int(cl E), candidates collapse to the distinct regular-open hulls and
-    the best C for each hull is memoized. Hulls come from the space's
-    cached table, built once per space. The returned witness is still
-    the first raw (E, C) pair in lexicographic mask order.
+    minRO(B), the meet of the hulls covering B, lies inside each of them,
+    so only an E whose hull covers A and misses minRO(B) can have a C.
+    The regular opens of a finite space are closed under intersection,
+    so minRO(B) is itself a hull and the first such E has one: one pass
+    over the cached hull table. On a family that is not a topology an E
+    without a C is passed over. The witness is the first raw (E, C) pair
+    in lexicographic mask order.
     """
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
@@ -99,21 +104,15 @@ def hat_strongly_far(
     if a & b:  # hulls covering A and B would meet inside A & B
         return WitnessResult(holds=False)
     hulls = space.regular_open_hulls
-    best_c: dict[int, int] = {}
-    for e in all_masks(n):
-        u = hulls[e]
-        if a & ~u:
+    covers_b = [c for c, v in enumerate(hulls) if b & ~v == 0]
+    min_ro = space.full_mask
+    for c in covers_b:
+        min_ro &= hulls[c]
+    for e, u in enumerate(hulls):
+        if a & ~u or u & min_ro:
             continue
-        if u not in best_c:
-            found = -1
-            for c in all_masks(n):
-                v = hulls[c]
-                if b & ~v == 0 and u & v == 0:
-                    found = c
-                    break
-            best_c[u] = found
-        c = best_c[u]
-        if c >= 0:
+        c = next((c for c in covers_b if not u & hulls[c]), None)
+        if c is not None:
             return WitnessResult(holds=True, witness=(e, c))
     return WitnessResult(holds=False)
 
@@ -173,18 +172,14 @@ def check_sf_implies_hat(
     if not is_compatible(prox):
         return SfImpliesHatReport(False, "relation is not compatible with the topology")
 
-    violations = []
-    checked = 0
-    for a in all_masks(space.n):
-        if a == 0:
-            continue
-        for b in all_masks(space.n):
-            if b == 0:
-                continue
-            checked += 1
-            if strongly_far(prox, a, b).holds and not hat_strongly_far(space, a, b).holds:
-                violations.append((a, b))
-    return SfImpliesHatReport(True, "checked", checked, tuple(violations))
+    far, flipped = _far_rows(prox)
+    violations = tuple(
+        (a, b)
+        for a in range(1, len(far))
+        for b in bits_of(far[a] & ~1)  # nonempty b only
+        if far[a] & flipped[b] and not hat_strongly_far(space, a, b).holds
+    )
+    return SfImpliesHatReport(True, "checked", (len(far) - 1) ** 2, violations)
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,10 @@ def check_far_vs_sf(
     examples_cap: int = 5,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> FarVsSfReport:
-    """Classify every far pair of nonempty subsets by strong farness."""
+    """Classify every far pair of nonempty subsets by strong farness.
+
+    Reads the dense matrix, so the relation is settled on every pair.
+    """
     n = prox.space.n
     if n > cap:
         raise CapExceededError("check_far_vs_sf", n, cap)
@@ -216,13 +214,10 @@ def check_far_vs_sf(
     far_only = 0
     ex_both: list[tuple[int, int]] = []
     ex_far: list[tuple[int, int]] = []
-    for a in all_masks(n):
-        if a == 0:
-            continue
-        for b in all_masks(n):
-            if b == 0 or prox.near(a, b):
-                continue
-            if _raw_strongly_far(prox, a, b) is not None:
+    far, flipped = _far_rows(prox)
+    for a in range(1, len(far)):
+        for b in bits_of(far[a] & ~1):  # nonempty b only
+            if far[a] & flipped[b]:
                 both += 1
                 if len(ex_both) < examples_cap:
                     ex_both.append((a, b))

@@ -11,6 +11,14 @@ every finite intersection of a subbase before minimal neighbourhoods
 replaced it. `scan_closure` is the per-mask scan of the closed sets that
 the dense closure table replaced, and `far_miss_mask` is the far-miss
 loop that asked `near` once per hyperpoint before it read matrix rows.
+
+The strong-layer loops ran pair by pair before the sweeps read the
+dense matrix: `raw_strongly_far` is the 2^n witness scan per pair,
+`sf_miss_mask` the strongly-far-miss family built on it, `far_vs_sf`
+the `check_far_vs_sf` sweep, `hat_witness` the hat search with its
+per-hull memo of the best C, and `first_far_not_sf` and
+`sf_not_hat_pairs` the double loops of the model searcher (the second
+also the `check_sf_implies_hat` sweep).
 """
 
 from proxitop.proximity import AXIOM_NAMES
@@ -223,3 +231,76 @@ def far_miss_mask(near, cl, comp):
         if comp == 0 or not near(e, comp):
             mask |= 1 << idx
     return mask
+
+
+def raw_strongly_far(near, n, a, b):
+    """First C (mask order) with A far X\\C and C far B, given A far B; else None."""
+    if near(a, b):
+        return None
+    full = (1 << n) - 1
+    for c in all_masks(n):
+        if not near(a, full & ~c) and not near(c, b):
+            return c
+    return None
+
+
+def sf_miss_mask(near, n, cl, comp):
+    """Bitmask over `cl` of the hyperpoints strongly far from `comp` (all if empty)."""
+    mask = 0
+    for idx, e in enumerate(cl):
+        if comp == 0 or raw_strongly_far(near, n, e, comp) is not None:
+            mask |= 1 << idx
+    return mask
+
+
+def far_vs_sf(near, n, examples_cap=5):
+    """(strongly far count, far-only count, their first examples) over nonempty far pairs."""
+    both = far_only = 0
+    ex_both, ex_far = [], []
+    for a in range(1, 1 << n):
+        for b in range(1, 1 << n):
+            if near(a, b):
+                continue
+            if raw_strongly_far(near, n, a, b) is not None:
+                both += 1
+                if len(ex_both) < examples_cap:
+                    ex_both.append((a, b))
+            else:
+                far_only += 1
+                if len(ex_far) < examples_cap:
+                    ex_far.append((a, b))
+    return both, far_only, tuple(ex_both), tuple(ex_far)
+
+
+def hat_witness(hulls, a, b):
+    """First (E, C) whose hulls cover A and B and are disjoint, or None."""
+    best_c = {}
+    for e, u in enumerate(hulls):
+        if a & ~u:
+            continue
+        if u not in best_c:
+            best_c[u] = next(
+                (c for c, v in enumerate(hulls) if b & ~v == 0 and u & v == 0), -1
+            )
+        if best_c[u] >= 0:
+            return (e, best_c[u])
+    return None
+
+
+def first_far_not_sf(near, n):
+    """First nonempty far pair with no strongly-far witness, or None."""
+    for a in range(1, 1 << n):
+        for b in range(1, 1 << n):
+            if not near(a, b) and raw_strongly_far(near, n, a, b) is None:
+                return (a, b)
+    return None
+
+
+def sf_not_hat_pairs(near, n, hulls):
+    """Every nonempty strongly-far pair that is not hat-strongly-far, ascending."""
+    return tuple(
+        (a, b)
+        for a in range(1, 1 << n)
+        for b in range(1, 1 << n)
+        if raw_strongly_far(near, n, a, b) is not None and hat_witness(hulls, a, b) is None
+    )

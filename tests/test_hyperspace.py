@@ -69,6 +69,12 @@ class TestEnumerateCL:
     def test_indiscrete2(self):
         assert enumerate_cl(GroundSpace.indiscrete(2)) == (0b11,)
 
+    def test_enumerated_once_per_space(self):
+        space = GroundSpace.discrete(3)
+        assert enumerate_cl(space) is enumerate_cl(space)
+        with pytest.raises(CapExceededError):
+            enumerate_cl(space, cap=6)
+
 
 class TestHitMiss:
     def test_hit_examples(self, discrete2):
