@@ -2,7 +2,10 @@
 
 CL(X) is the set of nonempty closed subsets, enumerated in ascending
 mask order; a family of hyperpoints is then itself a bitmask with one
-bit per hyperpoint. A topology on CL(X) is represented by its subbase
+bit per hyperpoint. The space caches, per point, the family of the
+hyperpoints through it, so the hyperpoints meeting a mask are an OR of
+those families: hit and miss families, and the far-miss and sf-miss
+families of a point-generated relation, cost one OR per point. A topology on CL(X) is represented by its subbase
 alone. On a finite space every hyperpoint p has a minimal neighbourhood,
 the intersection of the subbase members through p, and these are the
 smallest base of the topology: an open set is exactly a union of them.
@@ -31,7 +34,7 @@ from .proximity import (
     check_axioms,
     is_compatible,
 )
-from .spaces import GroundSpace
+from .spaces import GroundSpace, bits_of
 
 
 def enumerate_cl(space: GroundSpace, *, cap: int = DEFAULT_HYPER_CAP) -> tuple[int, ...]:
@@ -60,26 +63,35 @@ def _require_open(space: GroundSpace, mask: int, what: str) -> None:
         raise NotOpenError(f"{what} must be an open set, got {space.format(mask)}")
 
 
+def _meeting(space: GroundSpace, m: int) -> int:
+    """The family of hyperpoints that meet m: an OR of per-point families."""
+    through = space._hyperpoints_through
+    family = 0
+    for i in bits_of(m):
+        family |= through[i]
+    return family
+
+
+def _missing(space: GroundSpace, m: int) -> int:
+    """The family of hyperpoints that miss m."""
+    return (1 << len(space.nonempty_closed)) - 1 ^ _meeting(space, m)
+
+
 def hit_set(space: GroundSpace, v: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
     """{ E in CL(X) : E meets V }, for open V; `cap` bounds |CL(X)|."""
     _require_open(space, v, "hit parameter")
-    cl = enumerate_cl(space, cap=cap)
-    mask = 0
-    for idx, e in enumerate(cl):
-        if e & v:
-            mask |= 1 << idx
-    return HyperFamily(mask, (("hit", v),))
+    enumerate_cl(space, cap=cap)
+    return HyperFamily(_meeting(space, v), (("hit", v),))
 
 
 def miss_set(space: GroundSpace, w: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
-    """{ E in CL(X) : E inside W }, for open W; `cap` bounds |CL(X)|."""
+    """{ E in CL(X) : E inside W }, for open W; `cap` bounds |CL(X)|.
+
+    E lies inside W iff it misses X\\W.
+    """
     _require_open(space, w, "miss parameter")
-    cl = enumerate_cl(space, cap=cap)
-    mask = 0
-    for idx, e in enumerate(cl):
-        if e & ~w == 0:
-            mask |= 1 << idx
-    return HyperFamily(mask, (("miss", w),))
+    enumerate_cl(space, cap=cap)
+    return HyperFamily(_missing(space, space.complement(w)), (("miss", w),))
 
 
 def far_miss_set(
@@ -89,14 +101,20 @@ def far_miss_set(
 
     With A = X the complement is empty and every hyperpoint is included,
     matching the convention that everything is far from the empty set.
-    Up to DEFAULT_EXHAUSTIVE_CAP points each hyperpoint E is one bit of
-    the relation's dense near matrix, row E, column X\\A. Past that cap the
-    4^n-bit matrix is not built and each pair goes through `near`.
+    On a point-generated relation E is far from X\\A iff E misses
+    N(X\\A), so the family is read off the neighbourhood table with no
+    per-hyperpoint work. Otherwise, up to DEFAULT_EXHAUSTIVE_CAP points,
+    each hyperpoint E is one bit of the relation's dense near matrix, row
+    E, column X\\A; past that cap the 4^n-bit matrix is not built and
+    each pair goes through `near`.
     """
     space = prox.space
     _require_open(space, a, "far-miss parameter")
     cl = enumerate_cl(space, cap=cap)
     comp = space.complement(a)
+    nbhd = prox._neighbourhoods()
+    if nbhd is not None:
+        return HyperFamily(_missing(space, nbhd[comp]), (("far-miss", a),))
     if space.n <= DEFAULT_EXHAUSTIVE_CAP:
         rows = prox.matrix()
         near_comp = [rows[e] >> comp & 1 for e in cl]
@@ -119,8 +137,11 @@ def sf_miss_set(
     """{ E in CL(X) : E strongly far from X\\A }, for open A.
 
     `cap` bounds the point count, `hyper_cap` bounds |CL(X)|. With
-    B = X\\A, E is strongly far from B iff it is far from B and from some
-    X\\C with C far from B; those X\\C are B's far row of the dense matrix,
+    B = X\\A, a point-generated relation makes E strongly far from B iff
+    N(E) misses N(B), that is iff E misses N(N(B)): the far-miss family of
+    the squared relation R∘R, read off the neighbourhood table. Otherwise
+    E is strongly far from B iff it is far from B and from some X\\C with
+    C far from B; those X\\C are B's far row of the dense matrix,
     index-reversed, and only that one row is reversed per call.
     """
     space = prox.space
@@ -129,6 +150,9 @@ def sf_miss_set(
         raise CapExceededError("sf_miss_set", space.n, cap)
     cl = enumerate_cl(space, cap=hyper_cap)
     comp = space.complement(a)
+    nbhd = prox._neighbourhoods()
+    if nbhd is not None:
+        return HyperFamily(_missing(space, nbhd[nbhd[comp]]), (("sf-miss", a),))
     rows = prox.matrix()
     size = 1 << space.n
     far_comp = ((1 << size) - 1) ^ rows[comp]

@@ -42,19 +42,26 @@ class ProximityRelation:
 
     Verdicts come from `rule`, called with the unordered pair (a <= b),
     so symmetry (P0) holds structurally. Until the relation is swept,
-    each verdict is memoized under its pair key. The first exhaustive
-    sweep (`matrix`) settles every pair at once into a dense bit matrix,
-    which `near` reads from then on; point-generated constructors fill it
-    from their point neighbourhoods without calling `rule` at all.
+    each verdict is memoized under its pair key.
+
+    A point-generated relation (every constructor but `table`, and
+    overlap or Alexandroff only on a real topology) is settled by its
+    neighbourhood table: N[a], the union of the point neighbourhoods
+    R(i) over i in a, for every mask a. Then a near b iff N[a] meets b,
+    and the table, 2^n ints, is the only representation the relation
+    needs. Any other relation is settled by the first exhaustive sweep
+    (`matrix`) into a dense bit matrix of 4^n bits. Either way `near`
+    reads the settled form from then on.
 
     `eval_count` is the number of unordered pairs whose verdict the
-    relation has determined: memo misses before the matrix exists, all
-    2^n (2^n + 1) / 2 pairs once it does. The model searcher uses it as
+    relation has determined: memo misses before it is settled, all
+    2^n (2^n + 1) / 2 pairs once it is. The model searcher uses it as
     its budget unit. A pair's verdict never changes once determined.
     """
 
     __slots__ = (
-        "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_point_rows"
+        "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_nbhd",
+        "_point_rows",
     )
 
     def __init__(
@@ -71,12 +78,17 @@ class ProximityRelation:
         self._memo: dict[tuple[int, int], bool] = {}
         self.eval_count = 0
         self._rows: Optional[list[int]] = None
+        self._nbhd: Optional[list[int]] = None
         # Point-generated constructors set this to a function returning,
-        # for each point i, the mask of points near {i}, or None when the
-        # relation turns out not to be point-generated.
+        # for each point i, the mask R(i) of points near {i}, or None when
+        # the relation turns out not to be point-generated. R is always
+        # reflexive and symmetric, which the axiom kernel relies on.
         self._point_rows: Optional[Callable[[], Optional[tuple[int, ...]]]] = None
 
     def near(self, a: int, b: int) -> bool:
+        nbhd = self._nbhd
+        if nbhd is not None:
+            return nbhd[a] & b != 0
         rows = self._rows
         if rows is not None:
             return rows[a] >> b & 1 == 1
@@ -91,21 +103,40 @@ class ProximityRelation:
     def far(self, a: int, b: int) -> bool:
         return not self.near(a, b)
 
+    def _neighbourhoods(self) -> Optional[list[int]]:
+        """The neighbourhood table N, or None if the relation has no point rows.
+
+        Built on first use by one OR per mask over its low bit; building
+        it determines every pair.
+        """
+        if self._nbhd is None and self._point_rows is not None:
+            point_rows = self._point_rows()
+            if point_rows is not None:
+                size = 1 << self.space.n
+                nbhd = [0] * size
+                for a in range(1, size):
+                    low = a & -a
+                    nbhd[a] = nbhd[a ^ low] | point_rows[low.bit_length() - 1]
+                self._nbhd = nbhd
+                self._memo = {}
+                self.eval_count = size * (size + 1) // 2
+        return self._nbhd
+
     def matrix(self) -> list[int]:
         """The dense near matrix: bit b of `rows[a]` says whether a near b.
 
-        Built on first use. Point-generated relations fill row a as the
-        masks meeting N(a), the union of the point neighbourhoods of a,
-        one OR per mask; other relations call `rule` once per unordered
+        Built on first use. A point-generated relation reads row a as the
+        masks meeting N[a]; any other calls `rule` once per unordered
         pair, reusing memoized verdicts.
         """
         if self._rows is None:
             n = self.space.n
-            size = 1 << n
-            point_rows = self._point_rows and self._point_rows()
-            if point_rows is not None:
-                rows = _point_generated_rows(n, point_rows)
+            nbhd = self._neighbourhoods()
+            if nbhd is not None:
+                meets, _ = _mask_tables(n)
+                rows = [meets[m] for m in nbhd]
             else:
+                size = 1 << n
                 rows = [0] * size
                 memo, rule = self._memo, self._rule
                 for a in range(size):
@@ -118,9 +149,9 @@ class ProximityRelation:
                             row |= 1 << b
                             rows[b] |= 1 << a
                     rows[a] = row
+                self._memo = {}
+                self.eval_count = size * (size + 1) // 2
             self._rows = rows
-            self._memo = {}
-            self.eval_count = size * (size + 1) // 2
         return self._rows
 
     def __repr__(self) -> str:
@@ -147,18 +178,6 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             meets[m] = meets[m ^ low] | meets[low]
     full = size - 1
     return tuple(meets), tuple(everything ^ meets[full ^ m] for m in range(size))
-
-
-def _point_generated_rows(n: int, point_rows: tuple[int, ...]) -> list[int]:
-    meets, _ = _mask_tables(n)
-    size = 1 << n
-    nbhd = [0] * size
-    rows = [0] * size
-    for a in range(1, size):
-        low = a & -a
-        nbhd[a] = nbhd[a ^ low] | point_rows[low.bit_length() - 1]
-        rows[a] = meets[nbhd[a]]
-    return rows
 
 
 def _point_closures(space: GroundSpace) -> list[int]:
@@ -527,13 +546,15 @@ def check_axioms(
 ) -> ProximityAxiomReport:
     """Verify the proximity axioms, exhaustively by default.
 
-    Exhaustive mode decides every axiom over all subsets on the relation's
-    dense matrix (`ProximityRelation.matrix`), with a few word operations
-    per row or per pair of rows instead of a sweep over triples. Above
-    `cap` points this raises CapExceededError; passing `sample` switches
-    to randomized probing of the sampled masks and the report is labeled
+    Exhaustive mode decides every axiom over all subsets. A point-generated
+    relation is decided from its neighbourhood table alone, one lookup per
+    mask (`_point_witnesses`); any other relation on its dense matrix
+    (`ProximityRelation.matrix`), with a few word operations per row or
+    per pair of rows instead of a sweep over triples. Above `cap` points
+    this raises CapExceededError; passing `sample` switches to randomized
+    probing of the sampled masks and the report is labeled
     non-exhaustive. Witnesses are the first violation in ascending mask
-    order (tuples lexicographic), in both modes.
+    order (tuples lexicographic), in every mode.
     """
     requested = tuple(a for a in AXIOM_NAMES if a in set(axioms))
     if not requested:
@@ -544,7 +565,11 @@ def check_axioms(
 
     if sample is None:
         masks = None
-        witnesses = _matrix_witnesses(prox, requested)
+        nbhd = prox._neighbourhoods()
+        if nbhd is None:
+            witnesses = _matrix_witnesses(prox, requested)
+        else:
+            witnesses = _point_witnesses(nbhd, n, requested)
     else:
         rng = random.Random(seed)
         universe = 1 << n
@@ -573,6 +598,39 @@ Witness = Optional[tuple[int, ...]]
 def _low(x: int) -> int:
     """Index of the lowest set bit."""
     return (x & -x).bit_length() - 1
+
+
+def _point_witnesses(nbhd: list[int], n: int, requested: tuple[str, ...]) -> dict[str, Witness]:
+    """First violation of each requested axiom, read off the neighbourhood table.
+
+    R is reflexive and symmetric, so P0-P3 hold, and a far from b means
+    N(a) misses b. P4, EF and EF-betweenness each fail at a exactly when
+    N(N(a)) != N(a), so all three first fail at the same mask a*. With j
+    the lowest point of N(a*) whose N(j) leaves N(a*), and k the lowest
+    point of N(j) outside N(a*), the first witnesses are (a*, {j}, {k})
+    for P4, (a*, {lowest point of N(N(a*)) \\ N(a*)}) for EF and
+    (a*, N(a*)) for EF-betweenness. P5 fails at the first i < j with j
+    in R(i).
+    """
+    out: dict[str, Witness] = dict.fromkeys(requested)
+    if "P5" in requested:
+        for i in range(n):
+            later = nbhd[1 << i] & -(2 << i)  # the points above i
+            if later:
+                out["P5"] = (1 << i, later & -later)
+                break
+    if {"P4", "EF", "EF-betweenness"}.intersection(requested):
+        a = next((a for a, na in enumerate(nbhd) if nbhd[na] != na), None)
+        if a is not None:
+            na = nbhd[a]
+            j = next(j for j in bits_of(na) if nbhd[1 << j] & ~na)
+            first = {
+                "P4": (a, 1 << j, 1 << _low(nbhd[1 << j] & ~na)),
+                "EF": (a, 1 << _low(nbhd[na] & ~na)),
+                "EF-betweenness": (a, na),
+            }
+            out.update((name, w) for name, w in first.items() if name in requested)
+    return out
 
 
 def _far_rows(prox: ProximityRelation) -> tuple[list[int], list[int]]:

@@ -161,28 +161,26 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
 def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[tuple[int, ...], ...]:
     """All open families on n points (as sorted mask tuples), ascending.
 
-    Brute force over subsets of the proper nonempty masks, so capped at
-    n=4 (2^14 candidate families).
+    A finite topology is the family of up-sets of its specialization
+    preorder, the unions of the minimal open neighbourhoods up[i]. So the
+    families are read off the reflexive transitive relations on n points,
+    one per relation; the 2^(n(n-1)) candidate relations cap this at n=4.
     """
     if n > 4:
         raise ToolkitError("topology enumeration capped at n=4")
-    full = (1 << n) - 1
-    middles = [m for m in range(1, full)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     found = []
-    for choice in range(1 << len(middles)):
-        opens = {0, full}
-        for k in bits_of(choice):
-            opens.add(middles[k])
-        ok = True
-        for a in opens:
-            for b in opens:
-                if (a | b) not in opens or (a & b) not in opens:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(sorted(opens)))
+    for edges in range(1 << len(pairs)):
+        up = [1 << i for i in range(n)]
+        for k in bits_of(edges):
+            i, j = pairs[k]
+            up[i] |= 1 << j
+        if any(up[j] & ~u for u in up for j in bits_of(u)):
+            continue  # not transitive
+        opens = {0}
+        for u in up:
+            opens |= {m | u for m in opens}
+        found.append(tuple(sorted(opens)))
     found.sort()
     if not up_to_iso:
         return tuple(found)

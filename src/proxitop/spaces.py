@@ -230,6 +230,16 @@ class GroundSpace:
         return tuple(m for m in self.closed if m != 0)
 
     @cached_property
+    def _hyperpoints_through(self) -> tuple[int, ...]:
+        """Per point i, the hyperpoints containing i, as a family mask over
+        `nonempty_closed`."""
+        through = [0] * self.n
+        for idx, e in enumerate(self.nonempty_closed):
+            for i in bits_of(e):
+                through[i] |= 1 << idx
+        return tuple(through)
+
+    @cached_property
     def closures(self) -> tuple[int, ...]:
         """Per mask m, the meet of the closed supersets of m (full if none).
 

@@ -1,13 +1,16 @@
 """Strong inclusion, the strongly-far relation, and its topological twin.
 
 `strongly_far(A, B)` asks for a separating subset C with A far from X\\C
-and C far from B, on top of A far from B; the witness search sweeps all
-2^n candidates including the degenerate ends (empty and full), which are
-flagged when they win. With E = X\\C this is the EF separation test, so
-the sweeps over all pairs read it off the dense matrix, one AND of rows
-per pair. `hat_strongly_far` is the purely topological variant: A and B
-must sit inside disjoint regular-open sets, found in one pass over the
-hulls through B's least regular-open cover.
+and C far from B, on top of A far from B; the first such C in mask
+order is the witness, and the degenerate ends (empty and full) are
+flagged when they win. On a point-generated relation, with neighbourhood
+map N, A is strongly far from B iff N(A) and N(B) are disjoint, and the
+witness is N(A): one lookup per pair. Otherwise the witness search
+sweeps all 2^n candidates, and with E = X\\C it is the EF separation
+test, so the sweeps over all pairs read it off the dense matrix, one AND
+of rows per pair. `hat_strongly_far` is the purely topological variant:
+A and B must sit inside disjoint regular-open sets, found in one pass
+over the hulls through B's least regular-open cover.
 
 Empty inputs get a distinguished "degenerate" verdict instead of the
 vacuous one the raw definitions would produce, so theorem sweeps can
@@ -17,7 +20,7 @@ quantify over nonempty sets only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, DEFAULT_WITNESS_CAP
 from .proximity import ProximityRelation, _far_rows, check_axioms, is_compatible
@@ -64,12 +67,22 @@ def _raw_strongly_far(prox: ProximityRelation, a: int, b: int) -> Optional[int]:
 def strongly_far(
     prox: ProximityRelation, a: int, b: int, *, cap: int = DEFAULT_WITNESS_CAP
 ) -> WitnessResult:
-    """Is A strongly far from B, and which C shows it?"""
+    """Is A strongly far from B, and which C shows it?
+
+    On a point-generated relation the first C is N(A), and it works iff
+    N(A) misses N(B): any C holding N(A) meets N(B) otherwise. Since B
+    lies in N(B), A is then far from B too. Other relations run the
+    2^n-candidate search.
+    """
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
     if prox.space.n > cap:
         raise CapExceededError("strongly_far", prox.space.n, cap)
-    c = _raw_strongly_far(prox, a, b)
+    nbhd = prox._neighbourhoods()
+    if nbhd is None:
+        c = _raw_strongly_far(prox, a, b)
+    else:
+        c = None if nbhd[a] & nbhd[b] else nbhd[a]
     if c is None:
         return WitnessResult(holds=False)
     return WitnessResult(
@@ -136,6 +149,31 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
     return ProximityRelation(prox.space, "derived-sf", derived, {"base": prox.kind})
 
 
+def _far_pairs(prox: ProximityRelation) -> Iterator[tuple[int, int, bool]]:
+    """Every far pair (a, b) of nonempty masks, ascending, and whether it is strongly far.
+
+    With a neighbourhood table the far partners of a are the nonempty
+    submasks of X\\N(a), visited in ascending order, and b is strongly
+    far iff it misses N(N(a)). Otherwise they are read off the matrix's
+    far rows.
+    """
+    nbhd = prox._neighbourhoods()
+    if nbhd is None:
+        far, flipped = _far_rows(prox)
+        for a in range(1, len(far)):
+            for b in bits_of(far[a] & ~1):
+                yield a, b, far[a] & flipped[b] != 0
+        return
+    full = len(nbhd) - 1
+    for a in range(1, len(nbhd)):
+        outside = full ^ nbhd[a]
+        reach = nbhd[nbhd[a]]
+        b = outside & -outside
+        while b:
+            yield a, b, not b & reach
+            b = (b - outside) & outside
+
+
 @dataclass(frozen=True)
 class SfImpliesHatReport:
     """Sweep of strongly_far => hat_strongly_far over nonempty pairs."""
@@ -160,7 +198,10 @@ def check_sf_implies_hat(
 
     Precondition: the relation is Lodato and compatible with the space's
     topology (the implication leans on P4 plus topological closure); if
-    not, the check is skipped and the report says why.
+    not, the check is skipped and the report says why. The strongly-far
+    partners of each a are visited in ascending order; on a point-generated
+    relation they are the nonempty submasks of X\\N(N(a)), which a Lodato
+    one (N(N(a)) = N(a)) makes all of a's far partners.
     """
     if prox.space is not space and prox.space != space:
         return SfImpliesHatReport(False, "relation lives on a different space")
@@ -172,14 +213,12 @@ def check_sf_implies_hat(
     if not is_compatible(prox):
         return SfImpliesHatReport(False, "relation is not compatible with the topology")
 
-    far, flipped = _far_rows(prox)
     violations = tuple(
         (a, b)
-        for a in range(1, len(far))
-        for b in bits_of(far[a] & ~1)  # nonempty b only
-        if far[a] & flipped[b] and not hat_strongly_far(space, a, b).holds
+        for a, b, strong in _far_pairs(prox)
+        if strong and not hat_strongly_far(space, a, b).holds
     )
-    return SfImpliesHatReport(True, "checked", (len(far) - 1) ** 2, violations)
+    return SfImpliesHatReport(True, "checked", space.full_mask ** 2, violations)
 
 
 @dataclass(frozen=True)
@@ -205,7 +244,8 @@ def check_far_vs_sf(
 ) -> FarVsSfReport:
     """Classify every far pair of nonempty subsets by strong farness.
 
-    Reads the dense matrix, so the relation is settled on every pair.
+    Reads the neighbourhood table or the dense matrix, so the relation is
+    settled on every pair.
     """
     n = prox.space.n
     if n > cap:
@@ -214,15 +254,13 @@ def check_far_vs_sf(
     far_only = 0
     ex_both: list[tuple[int, int]] = []
     ex_far: list[tuple[int, int]] = []
-    far, flipped = _far_rows(prox)
-    for a in range(1, len(far)):
-        for b in bits_of(far[a] & ~1):  # nonempty b only
-            if far[a] & flipped[b]:
-                both += 1
-                if len(ex_both) < examples_cap:
-                    ex_both.append((a, b))
-            else:
-                far_only += 1
-                if len(ex_far) < examples_cap:
-                    ex_far.append((a, b))
+    for a, b, strong in _far_pairs(prox):
+        if strong:
+            both += 1
+            if len(ex_both) < examples_cap:
+                ex_both.append((a, b))
+        else:
+            far_only += 1
+            if len(ex_far) < examples_cap:
+                ex_far.append((a, b))
     return FarVsSfReport(both, far_only, tuple(ex_both), tuple(ex_far))

@@ -19,7 +19,14 @@ the `check_far_vs_sf` sweep, `hat_witness` the hat search with its
 per-hull memo of the best C, and `first_far_not_sf` and
 `sf_not_hat_pairs` the double loops of the model searcher (the second
 also the `check_sf_implies_hat` sweep).
+
+`hit_mask` and `miss_mask` are the per-hyperpoint loops that built hit
+and miss families before the per-point hyperpoint table, and
+`brute_force_topologies` is the topology enumeration over every family
+of proper nonempty masks that preorders replaced.
 """
+
+from itertools import permutations
 
 from proxitop.proximity import AXIOM_NAMES
 from proxitop.spaces import all_masks, bits_of
@@ -303,4 +310,40 @@ def sf_not_hat_pairs(near, n, hulls):
         for a in range(1, 1 << n)
         for b in range(1, 1 << n)
         if raw_strongly_far(near, n, a, b) is not None and hat_witness(hulls, a, b) is None
+    )
+
+
+def hit_mask(cl, v):
+    """Bitmask over `cl` of the hyperpoints meeting `v`."""
+    return sum(1 << idx for idx, e in enumerate(cl) if e & v)
+
+
+def miss_mask(cl, w):
+    """Bitmask over `cl` of the hyperpoints inside `w`."""
+    return sum(1 << idx for idx, e in enumerate(cl) if e & ~w == 0)
+
+
+def brute_force_topologies(n, up_to_iso=False):
+    """Every open family on n points, ascending, tried over all 2^(2^n - 2)
+    choices of proper nonempty masks; with `up_to_iso` only the families
+    that are least among their relabelings."""
+    full = (1 << n) - 1
+    middles = list(range(1, full))
+    found = []
+    for choice in range(1 << len(middles)):
+        opens = {0, full} | {middles[k] for k in bits_of(choice)}
+        if all((a | b) in opens and (a & b) in opens for a in opens for b in opens):
+            found.append(tuple(sorted(opens)))
+    found.sort()
+    if not up_to_iso:
+        return tuple(found)
+
+    def relabel(mask, perm):
+        return sum(1 << perm[i] for i in bits_of(mask))
+
+    perms = list(permutations(range(n)))
+    return tuple(
+        fam
+        for fam in found
+        if min(tuple(sorted(relabel(m, p) for m in fam)) for p in perms) == fam
     )

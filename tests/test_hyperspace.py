@@ -29,14 +29,17 @@ from proxitop import (
     point_generated_proximity,
     refines,
     sf_miss_set,
+    table_proximity,
 )
 from proxitop.hyperspace import MISS_ONLY_KINDS, TOPOLOGY_KINDS, HyperTopologyBase
 from proxitop.modelfile import parse_file
-from proxitop.search import enumerate_topologies
+from proxitop.search import _table_models, enumerate_topologies
 from reference import (
     base_refines,
     close_under_intersection,
     far_miss_mask,
+    hit_mask,
+    miss_mask,
     rule_near,
     subbase_neighbourhoods,
 )
@@ -352,8 +355,28 @@ class TestAgainstEnumeratedBase:
         assert viet.base == tuple(1 << i for i in range(63))
 
 
+class TestHitMissAgainstReference:
+    """hit_set and miss_set from the per-point hyperpoint table against the
+    per-hyperpoint loops."""
+
+    @staticmethod
+    def assert_matches_reference(space):
+        cl = enumerate_cl(space)
+        for v in space.opens:
+            assert hit_set(space, v).mask == hit_mask(cl, v), v
+            assert miss_set(space, v).mask == miss_mask(cl, v), v
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_small_topology(self, n):
+        for opens in enumerate_topologies(n):
+            self.assert_matches_reference(GroundSpace.create(n, opens))
+
+    def test_line_gap_model(self):
+        self.assert_matches_reference(parse_file(str(MODELS / "line_gap.yaml")).space)
+
+
 class TestFarMissAgainstReference:
-    """far_miss_set's matrix reads against the per-pair loop on the rule."""
+    """far_miss_set's table and matrix reads against the per-pair loop on the rule."""
 
     @staticmethod
     def assert_matches_reference(prox, opens):
@@ -376,9 +399,19 @@ class TestFarMissAgainstReference:
         self.assert_matches_reference(prox, prox.space.opens)
 
     def test_past_the_matrix_cap(self):
-        # 11 points: the 4^n-bit matrix is not built, each pair asks `near`
+        # 11 points: the neighbourhood table answers, no matrix is built
         space = GroundSpace.from_partition([[0, 1, 2], [3, 4], [5, 6, 7, 8], [9, 10]])
         prox = _path_proximity(space)
+        self.assert_matches_reference(prox, space.opens)
+        assert prox._rows is None
+
+    def test_tables(self):
+        # no point rows: the matrix, or past its cap `near` per hyperpoint
+        for n in (1, 2):
+            for _, model in _table_models(n):
+                self.assert_matches_reference(model.proximity, model.space.opens)
+        space = GroundSpace.from_partition([[0, 1, 2], [3, 4], [5, 6, 7, 8], [9, 10]])
+        prox = table_proximity(space, [(0b111, 0b11000), (0b11000, 0b11111100000)])
         self.assert_matches_reference(prox, space.opens)
         assert prox._rows is None
 

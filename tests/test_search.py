@@ -22,6 +22,7 @@ from proxitop.search import (
     SearchTarget,
     candidate_models,
 )
+from reference import brute_force_topologies
 
 
 class TestEnumeration:
@@ -40,6 +41,11 @@ class TestEnumeration:
         assert len(enumerate_topologies(2, True)) == 3
         assert len(enumerate_topologies(3, True)) == 9
         assert len(enumerate_topologies(4, True)) == 33
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_topologies_from_preorders_match_brute_force(self, n):
+        for up_to_iso in (False, True):
+            assert enumerate_topologies(n, up_to_iso) == brute_force_topologies(n, up_to_iso)
 
     def test_topologies_are_valid(self):
         from proxitop import validate_topology
