@@ -30,7 +30,10 @@ for target in ("sf-not-hat", "lemma37-violation"):
     outcome = search(SearchTarget(target, n_max=3))
     print(f"{target}:", outcome.status, f"({outcome.models_checked} models)")
 
-# -- the two miss halves never became incomparable at desk scale --------------
+# -- no candidate up to four points has incomparable miss halves -------------
+# The stream pairs an arbitrary point relation only with the discrete
+# topology. On other four-point topologies 336 labelled (topology, point
+# relation) pairs have incomparable miss halves; up to three points none.
 outcome = search(SearchTarget("incomparable-topologies", n_max=4))
 print(
     "incomparable-topologies (n<=4):", outcome.status,

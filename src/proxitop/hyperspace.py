@@ -11,7 +11,10 @@ the intersection of the subbase members through p, and these are the
 smallest base of the topology: an open set is exactly a union of them.
 Refinement is therefore decided pointwise without enumerating a base:
 left refines right iff each hyperpoint's minimal left neighbourhood lies
-inside its minimal right one.
+inside its minimal right one. For a basic relation the minimal
+neighbourhoods of the two miss-only topologies have a closed form in the
+relation's neighbourhood map, so comparing the miss halves builds
+neither subbase (`_miss_only_neighbourhoods`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .proximity import (
     check_axioms,
     is_compatible,
 )
-from .spaces import GroundSpace, bits_of
+from .spaces import GroundSpace, bits_of, union_table
 
 
 def enumerate_cl(space: GroundSpace, *, cap: int = DEFAULT_HYPER_CAP) -> tuple[int, ...]:
@@ -304,21 +307,27 @@ def _check_same_hyperspace(left: HyperTopologyBase, right: HyperTopologyBase) ->
         )
 
 
-def refines(left: HyperTopologyBase, right: HyperTopologyBase) -> RefinesResult:
-    """Does left's topology contain right's?
+def _refines_pointwise(finer: tuple[int, ...], coarser: tuple[int, ...]) -> RefinesResult:
+    """Refinement read off two tuples of minimal neighbourhoods over one CL(X).
 
-    A right-open set U is left-open iff it contains the minimal left
-    neighbourhood of each of its hyperpoints, and the minimal right
-    neighbourhood of p is the smallest right-open set through p. So left
-    refines right iff minL(p) lies inside minR(p) for every p; on failure
-    the witness is (minR(p), p) for the first such p in ascending order.
+    A coarser-open set U is finer-open iff it contains the minimal finer
+    neighbourhood of each of its hyperpoints, and the minimal coarser
+    neighbourhood of p is the smallest coarser-open set through p. So the
+    finer topology contains the coarser one iff minF(p) lies inside
+    minC(p) for every p; on failure the witness is (minC(p), p) for the
+    first such p in ascending order.
     """
-    _check_same_hyperspace(left, right)
-    pairs = zip(left.minimal_neighbourhoods, right.minimal_neighbourhoods)
-    for idx, (lmin, rmin) in enumerate(pairs):
-        if lmin & ~rmin:
-            return RefinesResult(False, (rmin, idx))
+    for idx, (fmin, cmin) in enumerate(zip(finer, coarser)):
+        if fmin & ~cmin:
+            return RefinesResult(False, (cmin, idx))
     return RefinesResult(True)
+
+
+def refines(left: HyperTopologyBase, right: HyperTopologyBase) -> RefinesResult:
+    """Does left's topology contain right's? Decided pointwise from the
+    minimal neighbourhoods of both."""
+    _check_same_hyperspace(left, right)
+    return _refines_pointwise(left.minimal_neighbourhoods, right.minimal_neighbourhoods)
 
 
 VERDICT_EQUAL = "equal"
@@ -334,10 +343,8 @@ class ComparisonResult:
     right_refines_left: RefinesResult
 
 
-def compare(left: HyperTopologyBase, right: HyperTopologyBase) -> ComparisonResult:
+def _comparison(lr: RefinesResult, rl: RefinesResult) -> ComparisonResult:
     """Combine both refinement directions into one verdict."""
-    lr = refines(left, right)
-    rl = refines(right, left)
     if lr.refines and rl.refines:
         verdict = VERDICT_EQUAL
     elif lr.refines:
@@ -347,6 +354,62 @@ def compare(left: HyperTopologyBase, right: HyperTopologyBase) -> ComparisonResu
     else:
         verdict = VERDICT_INCOMPARABLE
     return ComparisonResult(verdict, lr, rl)
+
+
+def compare(left: HyperTopologyBase, right: HyperTopologyBase) -> ComparisonResult:
+    """Both refinement directions and the verdict they give."""
+    return _comparison(refines(left, right), refines(right, left))
+
+
+def _miss_only_neighbourhoods(
+    prox: ProximityRelation,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per hyperpoint of CL(X), its minimal far_miss_only and sf_miss_only
+    neighbourhoods, without building either subbase.
+
+    The caller guarantees that the relation is basic and its space a
+    topology (U below is the smallest open superset only then); nothing
+    here checks either, and on any other input the tuples are not those
+    of `build_topology`.
+
+    A basic relation on a finite set is generated by its singleton
+    nearness R: with N(M) the union of R(i) over i in M, A is near B iff
+    N(A) meets B, and A is strongly far from B iff N(N(A)) misses B, so
+    the sf-miss half is the far-miss half of R∘R. The far-miss subbase
+    members through a hyperpoint E are {E' : E' misses N(B)} for the
+    closed B with E far from B, that is the closed B inside X\\N(E).
+    Those are the closed subsets of K(N(E)) = X\\U(N(E)), U(M) being the
+    smallest open superset of M, and N is additive, so their intersection
+    is the member of K(N(E)) itself: the hyperpoints missing
+    N(K(N(E))). With N∘N in place of N the same gives the sf-miss
+    neighbourhood. These are the tuples `build_topology(...)
+    .minimal_neighbourhoods` gives for the two miss-only kinds.
+    """
+    space = prox.space
+    cl = enumerate_cl(space)
+    singles = [1 << i for i in range(space.n)]
+    near = union_table([sum(b for b in singles if prox.near(a, b)) for a in singles])
+    squared = [near[m] for m in near]
+    # U(i), the smallest open set through i: the points whose closure holds i.
+    up = [0] * space.n
+    for b in singles:
+        for i in bits_of(space.closures[b]):
+            up[i] |= b
+    hull = union_table(up)
+    meeting = union_table(space._hyperpoints_through)
+    full, every = space.full_mask, (1 << len(cl)) - 1
+
+    def minimal(nbhd: list[int]) -> tuple[int, ...]:
+        return tuple(every ^ meeting[nbhd[full ^ hull[nbhd[e]]]] for e in cl)
+
+    return minimal(near), minimal(squared)
+
+
+def _compare_miss_halves(prox: ProximityRelation) -> ComparisonResult:
+    """`compare` of the far_miss_only and sf_miss_only topologies of a
+    basic relation on a topology, read off `_miss_only_neighbourhoods`."""
+    far, sf = _miss_only_neighbourhoods(prox)
+    return _comparison(_refines_pointwise(far, sf), _refines_pointwise(sf, far))
 
 
 # -- inclusion laws relating the miss halves ---------------------------

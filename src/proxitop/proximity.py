@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, ToolkitError
-from .spaces import GroundSpace, Metric, all_masks, bits_of, closure
+from .spaces import GroundSpace, Metric, all_masks, bits_of, closure, union_table
 
 AXIOM_NAMES = ("P0", "P1", "P2", "P3", "P4", "P5", "EF", "EF-betweenness")
 
@@ -113,11 +113,7 @@ class ProximityRelation:
             point_rows = self._point_rows()
             if point_rows is not None:
                 size = 1 << self.space.n
-                nbhd = [0] * size
-                for a in range(1, size):
-                    low = a & -a
-                    nbhd[a] = nbhd[a ^ low] | point_rows[low.bit_length() - 1]
-                self._nbhd = nbhd
+                self._nbhd = union_table(point_rows)
                 self._memo = {}
                 self.eval_count = size * (size + 1) // 2
         return self._nbhd

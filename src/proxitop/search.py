@@ -2,7 +2,7 @@
 
 Every basic proximity on a finite set is additive, hence generated by a
 point relation, so the candidate generators cover the interesting space
-cheaply: point relations (exhaustive up to n=3), explicit tables at
+cheaply: point relations (exhaustive up to n=4), explicit tables at
 n<=2, gap proximities over a line metric, and Alexandroff relations
 over every topology (up to relabeling) paired with every compactness
 ideal. On a finite space a valid ideal is determined by its unique
@@ -32,6 +32,7 @@ from .hyperspace import (
     check_inclusion_containment,
     far_miss_set,
     sf_miss_set,
+    _compare_miss_halves,
 )
 from .modelfile import Model
 from .proximity import (
@@ -131,7 +132,9 @@ def enumerate_point_relations(n: int, *, up_to_iso: bool = False) -> Iterator[Po
 
     Relations are indexed by the bitmask of off-diagonal related pairs in
     lexicographic pair order, ascending; with `up_to_iso` only the least
-    representative of each relabeling orbit is yielded.
+    representative of each relabeling orbit is yielded. In ascending
+    order an orbit's first member is its least, so each yielded relation
+    marks its whole orbit as seen and later members are skipped.
     """
     if n > MAX_SEARCH_N:
         raise ToolkitError(f"point relation enumeration capped at n={MAX_SEARCH_N}")
@@ -142,11 +145,11 @@ def enumerate_point_relations(n: int, *, up_to_iso: bool = False) -> Iterator[Po
         index = {pair: k for k, pair in enumerate(pairs)}
         for p in permutations(range(n)):
             edge_maps.append([index[tuple(sorted((p[i], p[j])))] for i, j in pairs])
+    seen: set[int] = set()
     for edges in range(1 << len(pairs)):
-        if edge_maps:
-            canon = min(sum(1 << m[k] for k in bits_of(edges)) for m in edge_maps)
-            if canon != edges:
-                continue
+        if edges in seen:
+            continue
+        seen.update(sum(1 << m[k] for k in bits_of(edges)) for m in edge_maps)
         yield PointRelation.from_pairs(n, [pairs[k] for k in bits_of(edges)])
 
 
@@ -184,12 +187,15 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[tuple[int, ..
     found.sort()
     if not up_to_iso:
         return tuple(found)
+    # In ascending order an orbit's first member is its least, so each
+    # representative marks its whole orbit as seen.
     perms = list(permutations(range(n)))
     reps = []
+    seen: set[tuple[int, ...]] = set()
     for fam in found:
-        canon = min(tuple(sorted(_permute_mask(m, p) for m in fam)) for p in perms)
-        if canon == fam:
+        if fam not in seen:
             reps.append(fam)
+            seen.update(tuple(sorted(_permute_mask(m, p) for m in fam)) for p in perms)
     return tuple(reps)
 
 
@@ -426,9 +432,9 @@ def _test_incomparable(model: Model) -> Optional[Model]:
     rep = check_axioms(prox)
     if not rep.is_basic:
         return None
-    left = build_topology(model.space, "far_miss_only", prox=prox)
-    right = build_topology(model.space, "sf_miss_only", prox=prox)
-    if compare(left, right).verdict != VERDICT_INCOMPARABLE:
+    # A basic relation, tables included, is generated by its singleton
+    # nearness, so the miss halves compare without building either one.
+    if _compare_miss_halves(prox).verdict != VERDICT_INCOMPARABLE:
         return None
     return replace(
         model,

@@ -30,6 +30,18 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def union_table(rows: Sequence[int]) -> list[int]:
+    """Per mask m over len(rows) points, the OR of rows[i] for i in m.
+
+    One OR per mask over its low bit: 2^n word operations.
+    """
+    table = [0] * (1 << len(rows))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | rows[low.bit_length() - 1]
+    return table
+
+
 def all_masks(n: int) -> range:
     """All subset masks of an n-point set, ascending (2^n of them)."""
     return range(1 << n)

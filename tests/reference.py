@@ -23,7 +23,10 @@ also the `check_sf_implies_hat` sweep).
 `hit_mask` and `miss_mask` are the per-hyperpoint loops that built hit
 and miss families before the per-point hyperpoint table, and
 `brute_force_topologies` is the topology enumeration over every family
-of proper nonempty masks that preorders replaced.
+of proper nonempty masks that preorders replaced. Its relabeling filter
+and the one in `brute_force_point_relations` take the least relabeling
+of every family, the filters the enumerations ran before they marked
+each orbit as seen.
 """
 
 from itertools import permutations
@@ -347,3 +350,25 @@ def brute_force_topologies(n, up_to_iso=False):
         for fam in found
         if min(tuple(sorted(relabel(m, p) for m in fam)) for p in perms) == fam
     )
+
+
+def brute_force_point_relations(n):
+    """Rows of the symmetric reflexive point relations on n points that are
+    least among their relabelings, ascending by the bitmask of related
+    pairs in lexicographic pair order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    maps = [
+        [index[tuple(sorted((p[i], p[j])))] for i, j in pairs]
+        for p in permutations(range(n))
+    ]
+    out = []
+    for edges in range(1 << len(pairs)):
+        if min(sum(1 << m[k] for k in bits_of(edges)) for m in maps) == edges:
+            rows = [1 << i for i in range(n)]
+            for k in bits_of(edges):
+                i, j = pairs[k]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            out.append(tuple(rows))
+    return out

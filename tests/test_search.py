@@ -22,7 +22,7 @@ from proxitop.search import (
     SearchTarget,
     candidate_models,
 )
-from reference import brute_force_topologies
+from reference import brute_force_point_relations, brute_force_topologies
 
 
 class TestEnumeration:
@@ -32,6 +32,16 @@ class TestEnumeration:
         assert len(list(enumerate_point_relations(3))) == 8
         assert len(list(enumerate_point_relations(3, up_to_iso=True))) == 4
         assert len(list(enumerate_point_relations(4))) == 64
+
+    def test_point_relation_counts_up_to_relabeling(self):
+        # graphs on n unlabelled vertices, OEIS A000088
+        counts = [len(list(enumerate_point_relations(n, up_to_iso=True))) for n in range(1, 6)]
+        assert counts == [1, 2, 4, 11, 34]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_point_relations_up_to_relabeling_match_brute_force(self, n):
+        got = [rel.rows for rel in enumerate_point_relations(n, up_to_iso=True)]
+        assert got == brute_force_point_relations(n)
 
     def test_topology_counts(self):
         assert len(enumerate_topologies(1)) == 1
