@@ -33,7 +33,7 @@ print(
 )
 
 # its induced closure thickens sets by the threshold
-print("induced cl {1} =", space.format(induced_closure(prox, 0b0010)))
+print("induced cl {p1} =", space.format(induced_closure(prox, 0b0010)))
 print("compatible with the discrete topology?", bool(is_compatible(prox)))
 
 # -- overlap: closures meet ------------------------------------------------
@@ -43,12 +43,12 @@ print("\noverlap classification:", report.classification, "- separated?", report
 print("compatible?", bool(is_compatible(ovl)))
 
 # -- a compactness ideal makes disjoint sets near ---------------------------
-# only closed subsets of {0,1} count as "compact"; everything else is
+# only closed subsets of {p0,p1} count as "compact"; everything else is
 # near everything else outside the ideal
 ideal = CompactnessIdeal.principal(space, 0b0011)
 alex = alexandroff_proximity(space, ideal)
-print("\nalexandroff with ideal below {0,1}:")
-print("  {2} near {3}?", alex.near(0b0100, 0b1000), " (both closures outside the ideal)")
-print("  {0} near {1}?", alex.near(0b0001, 0b0010), " (disjoint, both inside)")
+print("\nalexandroff with ideal below {p0,p1}:")
+print("  {p2} near {p3}?", alex.near(0b0100, 0b1000), " (both closures outside the ideal)")
+print("  {p0} near {p1}?", alex.near(0b0001, 0b0010), " (disjoint, both inside)")
 print("  classification:", check_axioms(alex).classification)
 print("  compatible?", bool(is_compatible(alex)))

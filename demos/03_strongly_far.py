@@ -36,7 +36,7 @@ print(
     "  check: A far X\\C?", prox.far(A, space.complement(C)),
     " C far B?", prox.far(C, B),
 )
-print("A strongly included in {0,1,2}?", strongly_included(prox, A, 0b111))
+print("A strongly included in {p0,p1,p2}?", strongly_included(prox, A, 0b111))
 
 hat = hat_strongly_far(space, A, B)
 print("hat-strongly-far?", hat.holds, " hulls:", [space.format(m) for m in hat.witness])
@@ -46,7 +46,7 @@ print("hat-strongly-far?", hat.holds, " hulls:", [space.format(m) for m in hat.w
 # can separate them because every candidate touches the middle
 d3 = GroundSpace.discrete(3)
 path = point_generated_proximity(d3, PointRelation.from_pairs(3, [(0, 1), (1, 2)]))
-print("\npath relation: {0} far {2}?", path.far(0b001, 0b100))
+print("\npath relation: {p0} far {p2}?", path.far(0b001, 0b100))
 print("strongly far?", strongly_far(path, 0b001, 0b100).holds)
 partition = check_far_vs_sf(path)
 print(

@@ -34,7 +34,7 @@ def show(name, fam):
     print(f"  {name}: {members}")
 
 
-print("\nsubbase families for the open {0,1}:")
+print("\nsubbase families for the open {p0,p1}:")
 show("hit", hit_set(space, 0b011))
 show("miss", miss_set(space, 0b011))
 show("far-miss", far_miss_set(prox, 0b011))

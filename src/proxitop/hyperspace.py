@@ -34,6 +34,7 @@ from .errors import (
 from .proximity import (
     CompactnessIdeal,
     ProximityRelation,
+    _singleton_rows,
     check_axioms,
     is_compatible,
 )
@@ -387,14 +388,13 @@ def _miss_only_neighbourhoods(
     """
     space = prox.space
     cl = enumerate_cl(space)
-    singles = [1 << i for i in range(space.n)]
-    near = union_table([sum(b for b in singles if prox.near(a, b)) for a in singles])
+    near = union_table(_singleton_rows(space.n, prox.near))
     squared = [near[m] for m in near]
     # U(i), the smallest open set through i: the points whose closure holds i.
     up = [0] * space.n
-    for b in singles:
-        for i in bits_of(space.closures[b]):
-            up[i] |= b
+    for p in range(space.n):
+        for i in bits_of(space.closures[1 << p]):
+            up[i] |= 1 << p
     hull = union_table(up)
     meeting = union_table(space._hyperpoints_through)
     full, every = space.full_mask, (1 << len(cl)) - 1

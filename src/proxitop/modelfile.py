@@ -50,7 +50,7 @@ from .proximity import (
     point_generated_proximity,
     table_proximity,
 )
-from .spaces import GroundSpace, Metric, PointSet, all_masks, bits_of
+from .spaces import GroundSpace, Metric, PointSet, all_masks
 
 # libyaml's loader parses about ten times faster than the pure-Python one.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -100,7 +100,7 @@ def _parse_points(doc: dict) -> tuple[str, ...]:
     if isinstance(raw, int):
         if not 1 <= raw <= MAX_GROUND_POINTS:
             _fail("points", f"point count must be in 1..{MAX_GROUND_POINTS}, got {raw}")
-        return tuple(f"p{i}" for i in range(raw))
+        return PointSet(raw).labels
     raw = _expect_type(raw, list, "points", "a list of names or an integer count")
     names = []
     for i, name in enumerate(raw):
@@ -198,8 +198,7 @@ def _parse_ideal(raw, space: GroundSpace, where: str) -> CompactnessIdeal:
     if raw == "all":
         return CompactnessIdeal.all_closed(space)
     raw = _expect_type(raw, list, where, "'all' or a list of closed sets")
-    labels = space.points.labels or tuple(f"p{i}" for i in range(space.n))
-    members = [_subset_mask(labels, m, f"{where}[{i}]") for i, m in enumerate(raw)]
+    members = [_subset_mask(space.points.labels, m, f"{where}[{i}]") for i, m in enumerate(raw)]
     try:
         return CompactnessIdeal(space, frozenset(members) | {0})
     except ToolkitError as exc:
@@ -223,7 +222,7 @@ def _parse_proximity(doc: dict, space: GroundSpace, metric: Optional[Metric]):
     for key in raw:
         if key not in allowed:
             _fail(f"proximity.{key}", f"unknown field for kind {kind!r}")
-    labels = space.points.labels or tuple(f"p{i}" for i in range(space.n))
+    labels = space.points.labels
 
     ideal = None
     if kind == "overlap":
@@ -283,7 +282,7 @@ def _parse_subsets(doc: dict, space: GroundSpace) -> dict[str, int]:
     if "subsets" not in doc:
         return {}
     raw = _expect_type(doc["subsets"], dict, "subsets", "a mapping of names to point lists")
-    labels = space.points.labels or tuple(f"p{i}" for i in range(space.n))
+    labels = space.points.labels
     out = {}
     for name, members in raw.items():
         name = _expect_type(name, str, "subsets", "a subset name")
@@ -363,19 +362,10 @@ def _emit_inline_list(values) -> str:
     return "[" + ", ".join(_emit_scalar(v) for v in values) + "]"
 
 
-def _names(space: GroundSpace) -> tuple[str, ...]:
-    return space.points.labels or tuple(f"p{i}" for i in range(space.n))
-
-
-def _subset_list(space: GroundSpace, mask: int) -> list[str]:
-    names = _names(space)
-    return [names[i] for i in bits_of(mask)]
-
-
 def serialize(model: Model) -> str:
     """Canonical text form; stable bytes for identical models."""
     space = model.space
-    names = _names(space)
+    names = space.points.labels
     lines = [f"points: {_emit_inline_list(names)}"]
 
     if space.opens == tuple(all_masks(space.n)):
@@ -383,7 +373,7 @@ def serialize(model: Model) -> str:
     else:
         lines.append("topology:")
         for o in space.opens:
-            lines.append(f"  - {_emit_inline_list(_subset_list(space, o))}")
+            lines.append(f"  - {_emit_inline_list(space.points.names(o))}")
 
     if model.metric is not None:
         lines.append("metric:")
@@ -405,15 +395,15 @@ def serialize(model: Model) -> str:
         else:
             lines.append("  ideal:")
             for m in ideal.sorted_members():
-                lines.append(f"    - {_emit_inline_list(_subset_list(space, m))}")
+                lines.append(f"    - {_emit_inline_list(space.points.names(m))}")
     elif prox.kind == "table":
         pairs = sorted(prox.params["near_pairs"])
         if pairs:
             lines.append("  near:")
             for a, b in pairs:
                 lines.append(
-                    f"    - [{_emit_inline_list(_subset_list(space, a))}, "
-                    f"{_emit_inline_list(_subset_list(space, b))}]"
+                    f"    - [{_emit_inline_list(space.points.names(a))}, "
+                    f"{_emit_inline_list(space.points.names(b))}]"
                 )
         else:
             lines.append("  near: []")
@@ -432,7 +422,7 @@ def serialize(model: Model) -> str:
     if model.subsets:
         lines.append("subsets:")
         for name in sorted(model.subsets):
-            lines.append(f"  {name}: {_emit_inline_list(_subset_list(space, model.subsets[name]))}")
+            lines.append(f"  {name}: {_emit_inline_list(space.points.names(model.subsets[name]))}")
 
     if model.replay:
         lines.append("replay:")

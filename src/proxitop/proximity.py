@@ -44,14 +44,19 @@ class ProximityRelation:
     so symmetry (P0) holds structurally. Until the relation is swept,
     each verdict is memoized under its pair key.
 
-    A point-generated relation (every constructor but `table`, and
-    overlap or Alexandroff only on a real topology) is settled by its
-    neighbourhood table: N[a], the union of the point neighbourhoods
-    R(i) over i in a, for every mask a. Then a near b iff N[a] meets b,
-    and the table, 2^n ints, is the only representation the relation
-    needs. Any other relation is settled by the first exhaustive sweep
-    (`matrix`) into a dense bit matrix of 4^n bits. Either way `near`
-    reads the settled form from then on.
+    A relation has one description, its rule. A constructor whose rule
+    is generated by its singleton verdicts passes `point_generated`, a
+    condition asked on first use (overlap and Alexandroff: the family is
+    a topology; gap, point relation and constant: always; the derived
+    strongly-far relation: its base is point-generated). While it holds,
+    the relation is settled by its neighbourhood table: with point rows
+    R(i) = {j : {i} near {j}}, read off n(n+1)/2 singleton calls of the
+    rule, N[a] is the union of R(i) over i in a, a near b iff N[a] meets
+    b, and the table, 2^n ints, is the only representation the relation
+    needs. Any other relation (tables, and the rest on a broken family)
+    is settled by the first exhaustive sweep (`matrix`) into a dense bit
+    matrix of 4^n bits. Either way `near` reads the settled form from
+    then on.
 
     `eval_count` is the number of unordered pairs whose verdict the
     relation has determined: memo misses before it is settled, all
@@ -61,7 +66,7 @@ class ProximityRelation:
 
     __slots__ = (
         "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_nbhd",
-        "_point_rows",
+        "_point_generated",
     )
 
     def __init__(
@@ -70,6 +75,7 @@ class ProximityRelation:
         kind: str,
         rule: Callable[[int, int], bool],
         params: Optional[dict] = None,
+        point_generated: Optional[Callable[[], bool]] = None,
     ):
         self.space = space
         self.kind = kind
@@ -79,11 +85,9 @@ class ProximityRelation:
         self.eval_count = 0
         self._rows: Optional[list[int]] = None
         self._nbhd: Optional[list[int]] = None
-        # Point-generated constructors set this to a function returning,
-        # for each point i, the mask R(i) of points near {i}, or None when
-        # the relation turns out not to be point-generated. R is always
-        # reflexive and symmetric, which the axiom kernel relies on.
-        self._point_rows: Optional[Callable[[], Optional[tuple[int, ...]]]] = None
+        # Where it holds, the rule is additive with a reflexive, symmetric
+        # R, which the axiom kernel relies on.
+        self._point_generated = point_generated
 
     def near(self, a: int, b: int) -> bool:
         nbhd = self._nbhd
@@ -104,18 +108,17 @@ class ProximityRelation:
         return not self.near(a, b)
 
     def _neighbourhoods(self) -> Optional[list[int]]:
-        """The neighbourhood table N, or None if the relation has no point rows.
+        """The neighbourhood table N, or None unless the relation is point-generated.
 
-        Built on first use by one OR per mask over its low bit; building
-        it determines every pair.
+        Built on first use from the rule's singleton verdicts (bypassing
+        the memo) by one OR per mask over its low bit; building it
+        determines every pair.
         """
-        if self._nbhd is None and self._point_rows is not None:
-            point_rows = self._point_rows()
-            if point_rows is not None:
-                size = 1 << self.space.n
-                self._nbhd = union_table(point_rows)
-                self._memo = {}
-                self.eval_count = size * (size + 1) // 2
+        if self._nbhd is None and self._point_generated is not None and self._point_generated():
+            size = 1 << self.space.n
+            self._nbhd = union_table(_singleton_rows(self.space.n, self._rule))
+            self._memo = {}
+            self.eval_count = size * (size + 1) // 2
         return self._nbhd
 
     def matrix(self) -> list[int]:
@@ -176,18 +179,22 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(meets), tuple(everything ^ meets[full ^ m] for m in range(size))
 
 
-def _point_closures(space: GroundSpace) -> list[int]:
-    return [closure(space, 1 << i) for i in range(space.n)]
-
-
-def _meeting_points(closures: list[int]) -> tuple[int, ...]:
-    """For each point, the points whose closures meet its closure."""
-    return tuple(
-        sum(1 << j for j, cj in enumerate(closures) if ci & cj) for ci in closures
-    )
+def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> list[int]:
+    """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i <= j."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if near(1 << i, 1 << j):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
 
 # -- concrete constructors --------------------------------------------
+
+
+def _always() -> bool:
+    return True
 
 
 def overlap_proximity(space: GroundSpace) -> ProximityRelation:
@@ -196,15 +203,10 @@ def overlap_proximity(space: GroundSpace) -> ProximityRelation:
     def rule(a: int, b: int) -> bool:
         return closure(space, a) & closure(space, b) != 0
 
-    def point_rows():
-        # Closure is additive only on a real topology.
-        if not space.topology_report.ok:
-            return None
-        return _meeting_points(_point_closures(space))
-
-    prox = ProximityRelation(space, "overlap", rule)
-    prox._point_rows = point_rows
-    return prox
+    # Closure is additive only on a real topology.
+    return ProximityRelation(
+        space, "overlap", rule, point_generated=lambda: space.topology_report.ok
+    )
 
 
 def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelation:
@@ -219,14 +221,9 @@ def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelat
         g = metric.gap(a, b)
         return g is not None and g <= eps
 
-    def point_rows():
-        return tuple(
-            sum(1 << j for j, d in enumerate(row) if d <= eps) for row in metric.rows
-        )
-
-    prox = ProximityRelation(space, "gap", rule, {"epsilon": eps, "metric": metric})
-    prox._point_rows = point_rows
-    return prox
+    return ProximityRelation(
+        space, "gap", rule, {"epsilon": eps, "metric": metric}, point_generated=_always
+    )
 
 
 @dataclass(frozen=True)
@@ -244,6 +241,13 @@ class CompactnessIdeal:
 
     def __post_init__(self):
         space = self.space
+        # On a topology those invariants say exactly that the members are
+        # the closed subsets of the largest one; the scans below only word
+        # the error for an invalid family.
+        if space.topology_report.ok and self.members:
+            top = max(self.members)
+            if self.members == {c for c in space.closed if c & ~top == 0}:
+                return
         for m in self.members:
             if not space.is_closed(m):
                 raise ToolkitError(f"ideal member {space.format(m)} is not closed")
@@ -302,22 +306,12 @@ def alexandroff_proximity(space: GroundSpace, ideal: CompactnessIdeal) -> Proxim
             return True
         return ca not in ideal.members and cb not in ideal.members
 
-    def point_rows():
-        # On a topology a closure lies in the (principal) ideal iff it
-        # sits inside the ideal's top, so the "both closures outside"
-        # clause relates the points whose closures leave the top.
-        if not space.topology_report.ok:
-            return None
-        closures = _point_closures(space)
-        outside = sum(1 << i for i, c in enumerate(closures) if c & ~ideal.top)
-        return tuple(
-            row | (outside if outside >> i & 1 else 0)
-            for i, row in enumerate(_meeting_points(closures))
-        )
-
-    prox = ProximityRelation(space, "alexandroff", rule, {"ideal": ideal})
-    prox._point_rows = point_rows
-    return prox
+    # On a topology a valid ideal is the closed subsets of its top, so a
+    # closure leaves it iff some point's closure does.
+    return ProximityRelation(
+        space, "alexandroff", rule, {"ideal": ideal},
+        point_generated=lambda: space.topology_report.ok,
+    )
 
 
 @dataclass(frozen=True)
@@ -389,9 +383,9 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
                 return True
         return False
 
-    prox = ProximityRelation(space, "point_relation", rule, {"relation": relation})
-    prox._point_rows = lambda: rows
-    return prox
+    return ProximityRelation(
+        space, "point_relation", rule, {"relation": relation}, point_generated=_always
+    )
 
 
 def table_proximity(
@@ -416,9 +410,9 @@ def table_proximity(
 
 def constant_proximity(space: GroundSpace) -> ProximityRelation:
     """Every pair of nonempty sets is near."""
-    prox = ProximityRelation(space, "constant", lambda a, b: a != 0 and b != 0)
-    prox._point_rows = lambda: (space.full_mask,) * space.n
-    return prox
+    return ProximityRelation(
+        space, "constant", lambda a, b: a != 0 and b != 0, point_generated=_always
+    )
 
 
 # -- induced closure and compatibility ---------------------------------

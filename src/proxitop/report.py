@@ -15,16 +15,15 @@ from fractions import Fraction
 from typing import Any
 
 from .modelfile import Model, model_digest
-from .spaces import GroundSpace, bits_of
+from .spaces import GroundSpace
 
 
 def subset_names(space: GroundSpace, mask: int) -> list[str]:
-    labels = space.points.labels or tuple(f"p{i}" for i in range(space.n))
-    return [labels[i] for i in bits_of(mask)]
+    return space.points.names(mask)
 
 
 def format_subset(space: GroundSpace, mask: int) -> str:
-    return "{" + ",".join(subset_names(space, mask)) + "}"
+    return space.format(mask)
 
 
 def timestamp() -> str:
@@ -35,7 +34,7 @@ def model_header(model: Model, *, with_timestamp: bool) -> dict:
     space = model.space
     head = {
         "digest": model_digest(model),
-        "points": list(space.points.labels or (f"p{i}" for i in range(space.n))),
+        "points": list(space.points.labels),
         "open_sets": len(space.opens),
         "proximity_kind": model.proximity.kind,
     }

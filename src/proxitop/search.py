@@ -43,11 +43,10 @@ from .proximity import (
     alexandroff_proximity,
     check_axioms,
     gap_proximity,
-    is_compatible,
     point_generated_proximity,
     table_proximity,
 )
-from .spaces import GroundSpace, Metric, all_masks, bits_of, is_T1
+from .spaces import GroundSpace, Metric, all_masks, bits_of
 from .strong import check_sf_implies_hat, hat_strongly_far, strongly_far
 
 TARGET_NAMES = (
@@ -84,23 +83,17 @@ DEFAULT_BUDGET = 50_000_000
 
 @dataclass(frozen=True)
 class SearchTarget:
-    """What to look for and which candidate models to draw from."""
+    """What to look for, over which range of point counts."""
 
     name: str
     n_min: int = 1
     n_max: int = 3
-    kinds: tuple[str, ...] = ALL_KINDS
-    require_compatible: bool = False
-    require_T1: bool = False
 
     def __post_init__(self):
         if self.name not in TARGET_NAMES:
             raise ToolkitError(
                 f"unknown target {self.name!r}; expected one of {', '.join(TARGET_NAMES)}"
             )
-        for kind in self.kinds:
-            if kind not in ALL_KINDS:
-                raise ToolkitError(f"unknown candidate kind {kind!r}")
         if not 1 <= self.n_min <= self.n_max <= MAX_SEARCH_N:
             raise ToolkitError(f"n range must sit inside 1..{MAX_SEARCH_N}")
 
@@ -328,8 +321,6 @@ def candidate_models(target: SearchTarget, seed: int) -> Iterator[tuple[str, Mod
     rng = random.Random(seed)
     for n in range(target.n_min, target.n_max + 1):
         for kind in ALL_KINDS:
-            if kind not in target.kinds:
-                continue
             if n <= KIND_EXHAUSTIVE_CAPS[kind]:
                 gen = {
                     "table": _table_models,
@@ -490,12 +481,6 @@ def search(
                 notes=tuple(notes),
             )
         all_exhaustive = all_exhaustive and exhaustive_stage
-        if target.require_T1 and not is_T1(model.space):
-            continue
-        if target.require_compatible and not is_compatible(model.proximity):
-            evaluations += model.proximity.eval_count
-            models_checked += 1
-            continue
         witness = test(model)
         evaluations += model.proximity.eval_count
         models_checked += 1

@@ -26,10 +26,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def union_table(rows: Sequence[int]) -> list[int]:
     """Per mask m over len(rows) points, the OR of rows[i] for i in m.
 
@@ -49,7 +45,7 @@ def all_masks(n: int) -> range:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite set of points with optional distinct display labels."""
+    """A finite set of points with distinct display labels, `p{i}` by default."""
 
     n: int
     labels: Optional[tuple[str, ...]] = None
@@ -59,21 +55,22 @@ class PointSet:
             raise ToolkitError(
                 f"point count must be in 1..{MAX_GROUND_POINTS}, got {self.n}"
             )
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ToolkitError("label count must equal point count")
-            if len(set(self.labels)) != self.n:
-                raise ToolkitError("labels must be distinct")
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(f"p{i}" for i in range(self.n)))
+        if len(self.labels) != self.n:
+            raise ToolkitError("label count must equal point count")
+        if len(set(self.labels)) != self.n:
+            raise ToolkitError("labels must be distinct")
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
     def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
+        return self.labels[i]
 
     def index_of(self, name: str) -> int:
-        if self.labels is not None and name in self.labels:
+        if name in self.labels:
             return self.labels.index(name)
         try:
             i = int(name)

@@ -141,12 +141,19 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
 
     Built on the raw definition, so empty sets stay far through P1 of the
     underlying relation and the result can be fed back to check_axioms.
+    On a point-generated base with rows R, {i} is strongly far from {j}
+    iff R(i) misses R(j), and A from B iff N(A) misses N(B): the derived
+    relation is generated by R∘R, so it settles on the neighbourhood
+    table read off its own singleton verdicts, never on the matrix.
     """
 
     def derived(a: int, b: int) -> bool:
         return _raw_strongly_far(prox, a, b) is None
 
-    return ProximityRelation(prox.space, "derived-sf", derived, {"base": prox.kind})
+    return ProximityRelation(
+        prox.space, "derived-sf", derived, {"base": prox.kind},
+        point_generated=lambda: prox._neighbourhoods() is not None,
+    )
 
 
 def _far_pairs(prox: ProximityRelation) -> Iterator[tuple[int, int, bool]]:

@@ -8,7 +8,9 @@ rows, so that its matrix is filled from the rule, and with the
 `reference` loops. The theorem tests check two facts about point
 relations: the first strongly-far witness is N(A) (F1), and the Lodato
 relations compatible with their topology are the equivalence relations
-on their partition spaces (F3).
+on their partition spaces (F3). The derived strongly-far relation of a
+point-generated base is point-generated too (F2: it is generated by
+R∘R), so it settles on the kernel from its own singleton verdicts.
 """
 
 import random
@@ -36,6 +38,7 @@ from proxitop import (
     sf_miss_set,
     strongly_far,
 )
+from proxitop.strong import derived_near_from_sf
 from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses
 from proxitop.search import _pair_order, _partition_space_of, _random_topology
 from reference import axiom_witnesses, raw_strongly_far, rule_near
@@ -144,6 +147,38 @@ def test_the_matrix_is_never_built():
         check_sf_implies_hat(space, prox)
         check_far_vs_sf(prox)
         assert prox._rows is None, prox
+
+
+def test_f2_the_derived_relation_settles_on_the_kernel():
+    """On every point relation with n <= 4 (discrete and partition
+    spaces) and every overlap and Alexandroff base on the labelled
+    topologies with n <= 3, the derived relation matches its rule-filled
+    twin and the reference loops (run on the base's rule) in every
+    axiom's verdict and witness, in `strongly_far` and in `near` on
+    every pair, without building its matrix."""
+    bases = 0
+    for make in [*point_relation_makers(), *topology_makers()]:
+        base = make()
+        n = base.space.n
+        full = base.space.full_mask
+        derived = derived_near_from_sf(base)
+        report = check_axioms(derived)
+        got = {name: report.verdicts[name].witness for name in AXIOM_NAMES}
+        twin = matrix_twin(derived)
+        assert got == _matrix_witnesses(twin, AXIOM_NAMES), base
+        base_near = rule_near(base)
+
+        def reference_near(a, b):
+            return raw_strongly_far(base_near, n, a, b) is None
+
+        assert got == axiom_witnesses(reference_near, n), base
+        for a in range(1 << n):
+            for b in range(1 << n):
+                assert derived.near(a, b) == twin.near(a, b) == reference_near(a, b)
+                assert strongly_far(derived, a, b) == strongly_far(twin, a, b), (base, a, b)
+        assert derived._nbhd is not None and derived._rows is None, base
+        bases += 1
+    assert bases == 98 + 178
 
 
 def test_f1_the_strongly_far_witness_is_the_neighbourhood():
