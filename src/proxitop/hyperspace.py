@@ -388,15 +388,12 @@ def _miss_only_neighbourhoods(
     """
     space = prox.space
     cl = enumerate_cl(space)
-    near = union_table(_singleton_rows(space.n, prox.near))
+    near = prox._neighbourhoods()
+    if near is None:  # a table: basic, so its singleton rows generate it
+        near = union_table(_singleton_rows(space.n, prox.near))
     squared = [near[m] for m in near]
-    # U(i), the smallest open set through i: the points whose closure holds i.
-    up = [0] * space.n
-    for p in range(space.n):
-        for i in bits_of(space.closures[1 << p]):
-            up[i] |= 1 << p
-    hull = union_table(up)
-    meeting = union_table(space._hyperpoints_through)
+    hull = space._open_hulls
+    meeting = space._hyperpoints_meeting
     full, every = space.full_mask, (1 << len(cl)) - 1
 
     def minimal(nbhd: list[int]) -> tuple[int, ...]:

@@ -49,14 +49,14 @@ class ProximityRelation:
     condition asked on first use (overlap and Alexandroff: the family is
     a topology; gap, point relation and constant: always; the derived
     strongly-far relation: its base is point-generated). While it holds,
-    the relation is settled by its neighbourhood table: with point rows
-    R(i) = {j : {i} near {j}}, read off n(n+1)/2 singleton calls of the
-    rule, N[a] is the union of R(i) over i in a, a near b iff N[a] meets
-    b, and the table, 2^n ints, is the only representation the relation
-    needs. Any other relation (tables, and the rest on a broken family)
-    is settled by the first exhaustive sweep (`matrix`) into a dense bit
-    matrix of 4^n bits. Either way `near` reads the settled form from
-    then on.
+    the relation is settled by its point rows R(i) = {j : {i} near {j}},
+    read off n(n-1)/2 singleton calls of the rule (R(i) holds i by P2),
+    and the neighbourhood table built from them: N[a] is the union of
+    R(i) over i in a, a near b iff N[a] meets b, and the table, 2^n ints,
+    is the only representation the relation needs. Any other relation
+    (tables, and the rest on a broken family) is settled by the first
+    exhaustive sweep (`matrix`) into a dense bit matrix of 4^n bits.
+    Either way `near` reads the settled form from then on.
 
     `eval_count` is the number of unordered pairs whose verdict the
     relation has determined: memo misses before it is settled, all
@@ -65,8 +65,8 @@ class ProximityRelation:
     """
 
     __slots__ = (
-        "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_nbhd",
-        "_point_generated",
+        "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_singletons",
+        "_nbhd", "_point_generated",
     )
 
     def __init__(
@@ -84,6 +84,7 @@ class ProximityRelation:
         self._memo: dict[tuple[int, int], bool] = {}
         self.eval_count = 0
         self._rows: Optional[list[int]] = None
+        self._singletons: Optional[tuple[int, ...]] = None
         self._nbhd: Optional[list[int]] = None
         # Where it holds, the rule is additive with a reflexive, symmetric
         # R, which the axiom kernel relies on.
@@ -107,18 +108,31 @@ class ProximityRelation:
     def far(self, a: int, b: int) -> bool:
         return not self.near(a, b)
 
+    def _point_rows(self) -> Optional[tuple[int, ...]]:
+        """The point rows R, or None unless the relation is point-generated.
+
+        Read on first use off the rule's singleton verdicts (bypassing the
+        memo); reading them determines every pair, since R settles the
+        relation.
+        """
+        generated = self._point_generated
+        if self._singletons is None and generated is not None and generated():
+            size = 1 << self.space.n
+            self._singletons = _singleton_rows(self.space.n, self._rule)
+            self._memo = {}
+            self.eval_count = size * (size + 1) // 2
+        return self._singletons
+
     def _neighbourhoods(self) -> Optional[list[int]]:
         """The neighbourhood table N, or None unless the relation is point-generated.
 
-        Built on first use from the rule's singleton verdicts (bypassing
-        the memo) by one OR per mask over its low bit; building it
-        determines every pair.
+        Built on first use from the point rows by one OR per mask over its
+        low bit.
         """
-        if self._nbhd is None and self._point_generated is not None and self._point_generated():
-            size = 1 << self.space.n
-            self._nbhd = union_table(_singleton_rows(self.space.n, self._rule))
-            self._memo = {}
-            self.eval_count = size * (size + 1) // 2
+        if self._nbhd is None:
+            rows = self._point_rows()
+            if rows is not None:
+                self._nbhd = union_table(rows)
         return self._nbhd
 
     def matrix(self) -> list[int]:
@@ -179,15 +193,19 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(meets), tuple(everything ^ meets[full ^ m] for m in range(size))
 
 
-def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> list[int]:
-    """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i <= j."""
-    rows = [0] * n
+def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> tuple[int, ...]:
+    """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i < j.
+
+    R(i) is taken to hold i: the relations this reads (point-generated
+    on a topology, or basic) satisfy P2 on singletons.
+    """
+    rows = [1 << i for i in range(n)]
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i + 1, n):
             if near(1 << i, 1 << j):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return rows
+    return tuple(rows)
 
 
 # -- concrete constructors --------------------------------------------
@@ -546,7 +564,8 @@ def check_axioms(
     non-exhaustive. Witnesses are the first violation in ascending mask
     order (tuples lexicographic), in every mode.
     """
-    requested = tuple(a for a in AXIOM_NAMES if a in set(axioms))
+    wanted = set(axioms)
+    requested = tuple(a for a in AXIOM_NAMES if a in wanted)
     if not requested:
         raise ToolkitError("no axioms requested")
     n = prox.space.n

@@ -18,10 +18,6 @@ from .modelfile import Model, model_digest
 from .spaces import GroundSpace
 
 
-def subset_names(space: GroundSpace, mask: int) -> list[str]:
-    return space.points.names(mask)
-
-
 def format_subset(space: GroundSpace, mask: int) -> str:
     return space.format(mask)
 

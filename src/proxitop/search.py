@@ -13,6 +13,15 @@ Searches are deterministic: exhaustive stages ignore the seed, and the
 randomized stages that kick in past the exhaustive caps draw their
 models from a seeded generator. Outcomes carry the witness model plus a
 replay script of public-operation calls that re-exhibits the property.
+
+Every target test on a point-generated candidate reads only its
+topology and its point rows R, and the generators keep producing the
+same pair (the Alexandroff ideals, the partition stage and the discrete
+point relations overlap). Within one `search` call each (topology, R)
+pair is therefore tested once: a repeat cannot be a witness, since the
+search would have stopped at its first twin, so it is counted in
+`models_checked` and its determined pairs in `evaluations` but not
+re-tested. Tables are always tested.
 """
 
 from __future__ import annotations
@@ -464,7 +473,8 @@ def search(
     when the documented space was fully enumerated, or budget-exhausted
     when the relation-evaluation budget ran out first (sampled stages
     always end in budget-exhausted if no witness turns up, since they do
-    not exhaust anything).
+    not exhaust anything). A candidate repeating an earlier one's
+    (topology, point relation) is counted but not re-tested.
     """
     if isinstance(target, str):
         target = SearchTarget(target)
@@ -473,6 +483,7 @@ def search(
     models_checked = 0
     all_exhaustive = True
     notes = []
+    tested: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for name, model, exhaustive_stage in candidate_models(target, seed):
         if evaluations >= budget:
             notes.append(f"budget ran out before {name}")
@@ -481,8 +492,16 @@ def search(
                 notes=tuple(notes),
             )
         all_exhaustive = all_exhaustive and exhaustive_stage
-        witness = test(model)
-        evaluations += model.proximity.eval_count
+        prox = model.proximity
+        rows = prox._point_rows()
+        key = None if rows is None else (model.space.opens, rows)
+        if key in tested:
+            witness = None
+        else:
+            witness = test(model)
+            if key is not None:
+                tested.add(key)
+        evaluations += prox.eval_count
         models_checked += 1
         if witness is not None:
             return SearchOutcome(

@@ -249,6 +249,25 @@ class GroundSpace:
         return tuple(through)
 
     @cached_property
+    def _hyperpoints_meeting(self) -> tuple[int, ...]:
+        """Per mask m, the hyperpoints meeting m: the union table of
+        `_hyperpoints_through`."""
+        return tuple(union_table(self._hyperpoints_through))
+
+    @cached_property
+    def _open_hulls(self) -> tuple[int, ...]:
+        """Per mask m, the smallest open superset U(m), on a topology.
+
+        U({i}) is the set of points whose closure holds i, and U is
+        additive, so the table is their union table.
+        """
+        up = [0] * self.n
+        for p in range(self.n):
+            for i in bits_of(self.closures[1 << p]):
+                up[i] |= 1 << p
+        return tuple(union_table(up))
+
+    @cached_property
     def closures(self) -> tuple[int, ...]:
         """Per mask m, the meet of the closed supersets of m (full if none).
 

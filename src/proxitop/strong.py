@@ -152,7 +152,7 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
 
     return ProximityRelation(
         prox.space, "derived-sf", derived, {"base": prox.kind},
-        point_generated=lambda: prox._neighbourhoods() is not None,
+        point_generated=lambda: prox._point_rows() is not None,
     )
 
 

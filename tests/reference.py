@@ -27,11 +27,22 @@ of proper nonempty masks that preorders replaced. Its relabeling filter
 and the one in `brute_force_point_relations` take the least relabeling
 of every family, the filters the enumerations ran before they marked
 each orbit as seen.
+
+`naive_search` is the model searcher's loop before it tested each
+(topology, point relation) once per call: every candidate is tested.
 """
 
 from itertools import permutations
 
 from proxitop.proximity import AXIOM_NAMES
+from proxitop.search import (
+    STATUS_BUDGET,
+    STATUS_EXHAUSTED,
+    STATUS_WITNESS,
+    SearchOutcome,
+    _TARGET_TESTS,
+    candidate_models,
+)
 from proxitop.spaces import all_masks, bits_of
 
 
@@ -372,3 +383,31 @@ def brute_force_point_relations(n):
                 rows[j] |= 1 << i
             out.append(tuple(rows))
     return out
+
+
+def naive_search(target, budget, seed):
+    """`search` testing every candidate, with no memo of tested models."""
+    test = _TARGET_TESTS[target.name]
+    evaluations = models_checked = 0
+    all_exhaustive = True
+    for name, model, exhaustive_stage in candidate_models(target, seed):
+        if evaluations >= budget:
+            return SearchOutcome(
+                target, STATUS_BUDGET, budget, seed, evaluations, models_checked,
+                notes=(f"budget ran out before {name}",),
+            )
+        all_exhaustive = all_exhaustive and exhaustive_stage
+        witness = test(model)
+        evaluations += model.proximity.eval_count
+        models_checked += 1
+        if witness is not None:
+            return SearchOutcome(
+                target, STATUS_WITNESS, budget, seed, evaluations, models_checked,
+                witness=witness, witness_name=name,
+            )
+    if all_exhaustive:
+        return SearchOutcome(target, STATUS_EXHAUSTED, budget, seed, evaluations, models_checked)
+    return SearchOutcome(
+        target, STATUS_BUDGET, budget, seed, evaluations, models_checked,
+        notes=("sampled stages ran; candidate space not exhausted",),
+    )

@@ -11,6 +11,8 @@ relations compatible with their topology are the equivalence relations
 on their partition spaces (F3). The derived strongly-far relation of a
 point-generated base is point-generated too (F2: it is generated by
 R∘R), so it settles on the kernel from its own singleton verdicts.
+Point rows are read without asking {i} near {i}, which every
+point-generated rule answers yes.
 """
 
 import random
@@ -28,6 +30,7 @@ from proxitop import (
     check_axioms,
     check_far_vs_sf,
     check_sf_implies_hat,
+    constant_proximity,
     enumerate_point_relations,
     enumerate_topologies,
     far_miss_set,
@@ -147,6 +150,34 @@ def test_the_matrix_is_never_built():
         check_sf_implies_hat(space, prox)
         check_far_vs_sf(prox)
         assert prox._rows is None, prox
+
+
+def test_point_generated_rules_are_reflexive():
+    """Point rows take {i} near {i} as given; every point-generated
+    constructor's rule says so on every labelled topology with n <= 3,
+    and so does the derived strongly-far relation of each."""
+    checked = 0
+    for n in (1, 2, 3):
+        metric = Metric.line(n)
+        relations = list(enumerate_point_relations(n))
+        for opens in enumerate_topologies(n):
+            space = GroundSpace.create(n, opens)
+            bases = [overlap_proximity(space), constant_proximity(space)]
+            bases += [
+                alexandroff_proximity(space, CompactnessIdeal.principal(space, top))
+                for top in space.closed
+            ]
+            bases += [gap_proximity(space, metric, e) for e in (0,) + metric.distance_values()]
+            bases += [point_generated_proximity(space, rel) for rel in relations]
+            for prox in bases + [derived_near_from_sf(b) for b in bases]:
+                assert prox._point_generated(), prox
+                for i in range(n):
+                    assert prox._rule(1 << i, 1 << i), (opens, prox, i)
+                checked += 1
+    # Per topology: overlap, constant, an Alexandroff relation per closed
+    # set, a gap per epsilon and every point relation; n = 1, 2, 3 have
+    # 1, 4, 29 topologies with 2, 12, 130 closed sets in all.
+    assert checked == 2 * ((1 * 4 + 2) + (4 * 6 + 12) + (29 * 13 + 130))
 
 
 def test_f2_the_derived_relation_settles_on_the_kernel():
