@@ -2,26 +2,26 @@
 
 CL(X) is the set of nonempty closed subsets, enumerated in ascending
 mask order; a family of hyperpoints is then itself a bitmask with one
-bit per hyperpoint. The space caches, per point, the family of the
-hyperpoints through it, so the hyperpoints meeting a mask are an OR of
-those families: hit and miss families, and the far-miss and sf-miss
-families of a point-generated relation, cost one OR per point. A topology on CL(X) is represented by its subbase
-alone. On a finite space every hyperpoint p has a minimal neighbourhood,
-the intersection of the subbase members through p, and these are the
-smallest base of the topology: an open set is exactly a union of them.
-Refinement is therefore decided pointwise without enumerating a base:
-left refines right iff each hyperpoint's minimal left neighbourhood lies
-inside its minimal right one. For a basic relation the minimal
-neighbourhoods of the two miss-only topologies have a closed form in the
-relation's neighbourhood map, so comparing the miss halves builds
-neither subbase (`_miss_only_neighbourhoods`).
+bit per hyperpoint. The space caches, per mask, the family of the
+hyperpoints meeting it, so hit and miss families, and the far-miss and
+sf-miss families of a point-generated relation, are one lookup each. A
+topology on CL(X) is represented by its subbase alone. On a finite space
+every hyperpoint p has a minimal neighbourhood, the intersection of the
+subbase members through p, and these are the smallest base of the
+topology: an open set is exactly a union of them. Refinement is
+therefore decided pointwise without enumerating a base: left refines
+right iff each hyperpoint's minimal left neighbourhood lies inside its
+minimal right one. On a topology those neighbourhoods have a closed form
+(`_closed_form_neighbourhoods`) for every kind but hit_and_miss and the
+miss halves of a relation with no neighbourhood table, which walk the
+subbase; comparing the miss halves of a basic relation builds neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -67,25 +67,16 @@ def _require_open(space: GroundSpace, mask: int, what: str) -> None:
         raise NotOpenError(f"{what} must be an open set, got {space.format(mask)}")
 
 
-def _meeting(space: GroundSpace, m: int) -> int:
-    """The family of hyperpoints that meet m: an OR of per-point families."""
-    through = space._hyperpoints_through
-    family = 0
-    for i in bits_of(m):
-        family |= through[i]
-    return family
-
-
 def _missing(space: GroundSpace, m: int) -> int:
     """The family of hyperpoints that miss m."""
-    return (1 << len(space.nonempty_closed)) - 1 ^ _meeting(space, m)
+    return (1 << len(space.nonempty_closed)) - 1 ^ space._hyperpoints_meeting[m]
 
 
 def hit_set(space: GroundSpace, v: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
     """{ E in CL(X) : E meets V }, for open V; `cap` bounds |CL(X)|."""
     _require_open(space, v, "hit parameter")
     enumerate_cl(space, cap=cap)
-    return HyperFamily(_meeting(space, v), (("hit", v),))
+    return HyperFamily(space._hyperpoints_meeting[v], (("hit", v),))
 
 
 def miss_set(space: GroundSpace, w: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
@@ -140,23 +131,23 @@ def sf_miss_set(
 ) -> HyperFamily:
     """{ E in CL(X) : E strongly far from X\\A }, for open A.
 
-    `cap` bounds the point count, `hyper_cap` bounds |CL(X)|. With
-    B = X\\A, a point-generated relation makes E strongly far from B iff
-    N(E) misses N(B), that is iff E misses N(N(B)): the far-miss family of
-    the squared relation R∘R, read off the neighbourhood table. Otherwise
-    E is strongly far from B iff it is far from B and from some X\\C with
-    C far from B; those X\\C are B's far row of the dense matrix,
-    index-reversed, and only that one row is reversed per call.
+    `hyper_cap` bounds |CL(X)|. With B = X\\A, a point-generated relation
+    makes E strongly far from B iff N(E) misses N(B), that is iff E misses
+    N(N(B)): the far-miss family of the squared relation R∘R, read off the
+    neighbourhood table. Otherwise E is strongly far from B iff it is far
+    from B and from some X\\C with C far from B; those X\\C are B's far
+    row of the dense matrix, index-reversed, and only that one row is
+    reversed per call. `cap` bounds the point count of that matrix path.
     """
     space = prox.space
     _require_open(space, a, "strongly-far-miss parameter")
-    if space.n > cap:
-        raise CapExceededError("sf_miss_set", space.n, cap)
     cl = enumerate_cl(space, cap=hyper_cap)
     comp = space.complement(a)
     nbhd = prox._neighbourhoods()
     if nbhd is not None:
         return HyperFamily(_missing(space, nbhd[nbhd[comp]]), (("sf-miss", a),))
+    if space.n > cap:
+        raise CapExceededError("sf_miss_set", space.n, cap)
     rows = prox.matrix()
     size = 1 << space.n
     far_comp = ((1 << size) - 1) ^ rows[comp]
@@ -174,13 +165,14 @@ class HyperTopologyBase:
 
     `cl` is the enumerated hyperspace the family masks refer to; the
     subbase is ascending and deduped, and the topology is read off its
-    minimal neighbourhoods.
+    minimal neighbourhoods, given as `closed_form` when known without it.
     """
 
     space: GroundSpace
     cl: tuple[int, ...]
     kind: str
     subbase: tuple[HyperFamily, ...]
+    closed_form: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def full_family(self) -> int:
@@ -193,6 +185,8 @@ class HyperTopologyBase:
         A hyperpoint no member contains gets the full family (the empty
         intersection).
         """
+        if self.closed_form is not None:
+            return self.closed_form
         mins = [self.full_family] * len(self.cl)
         for fam in self.subbase:
             rest = fam.mask
@@ -211,6 +205,32 @@ class HyperTopologyBase:
 
 TOPOLOGY_KINDS = ("vietoris", "fell", "hit_and_miss", "far_miss", "sf_miss")
 MISS_ONLY_KINDS = ("far_miss_only", "sf_miss_only")
+
+
+def _closed_form_neighbourhoods(
+    space: GroundSpace, nbhd: Sequence[int], top: int, hits: bool
+) -> tuple[int, ...]:
+    """Minimal neighbourhoods, per hyperpoint E, of the topology on CL(X)
+    whose miss half is {E' : E' misses N(C)} for each closed C inside `top`,
+    N additive and symmetric, joined with the hit sets of every open if `hits`.
+
+    On a topology (the caller's guarantee) the C missing N(E) are the closed
+    subsets of K = top \\ U(N(E)), U being the smallest-open-superset table,
+    so the miss members through E meet in the hyperpoints missing N(K); the
+    hit sets through E meet in those meeting U({x}) for each x in E. N is
+    the identity for Vietoris and Fell, the relation's neighbourhood table
+    for far-miss and its square N∘N for sf-miss.
+    """
+    hull, meeting = space._open_hulls, space._hyperpoints_meeting
+    every = (1 << len(space.nonempty_closed)) - 1
+    point_hits = [meeting[hull[1 << x]] for x in range(space.n)]
+    mins = []
+    for e in space.nonempty_closed:
+        m = every ^ meeting[nbhd[top & ~hull[nbhd[e]]]]
+        for x in bits_of(e) if hits else ():
+            m &= point_hits[x]
+        mins.append(m)
+    return tuple(mins)
 
 
 def _dedup_subbase(families: list[HyperFamily]) -> tuple[HyperFamily, ...]:
@@ -259,38 +279,41 @@ def build_topology(
     if include_hits:
         families.extend(hit_set(space, v, cap=hyper_cap) for v in space.opens)
 
-    if miss_kind == "vietoris":
-        families.extend(miss_set(space, w, cap=hyper_cap) for w in space.opens)
-    elif miss_kind == "fell":
-        if ideal is None:
-            raise ToolkitError("fell topology needs a compactness ideal")
+    # N and top for `_closed_form_neighbourhoods`; N = None walks the subbase.
+    nbhd: Optional[Sequence[int]] = range(1 << space.n)
+    top = space.full_mask
+    if miss_kind in ("far_miss", "sf_miss"):
+        if prox is None:
+            raise ToolkitError(f"{miss_kind} topology needs a proximity")
+        nbhd = prox._neighbourhoods()
+        if miss_kind == "far_miss":
+            families.extend(far_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
+        else:
+            families.extend(sf_miss_set(prox, a, hyper_cap=hyper_cap) for a in space.opens)
+            if nbhd is not None:  # sf-miss is the far-miss half of N∘N
+                nbhd = [nbhd[m] for m in nbhd]
+    else:
+        missable = None  # the closed complements that give miss sets; None for all
+        if miss_kind == "fell":
+            if ideal is None:
+                raise ToolkitError("fell topology needs a compactness ideal")
+            missable, top = ideal, ideal.top
+        elif miss_kind == "hit_and_miss":
+            if family is None:
+                raise ToolkitError("hit_and_miss topology needs a family of closed sets")
+            for c in family:
+                if not space.is_closed(c):
+                    raise ToolkitError(f"family member {space.format(c)} is not closed")
+            missable, nbhd = set(family), None
         families.extend(
             miss_set(space, w, cap=hyper_cap)
             for w in space.opens
-            if space.complement(w) in ideal
+            if missable is None or space.complement(w) in missable
         )
-    elif miss_kind == "hit_and_miss":
-        if family is None:
-            raise ToolkitError("hit_and_miss topology needs a family of closed sets")
-        for c in family:
-            if not space.is_closed(c):
-                raise ToolkitError(f"family member {space.format(c)} is not closed")
-        members = set(family)
-        families.extend(
-            miss_set(space, w, cap=hyper_cap)
-            for w in space.opens
-            if space.complement(w) in members
-        )
-    elif miss_kind == "far_miss":
-        if prox is None:
-            raise ToolkitError("far_miss topology needs a proximity")
-        families.extend(far_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
-    elif miss_kind == "sf_miss":
-        if prox is None:
-            raise ToolkitError("sf_miss topology needs a proximity")
-        families.extend(sf_miss_set(prox, a, hyper_cap=hyper_cap) for a in space.opens)
 
-    return HyperTopologyBase(space, cl, kind, _dedup_subbase(families))
+    closed = nbhd is not None and space.topology_report.ok
+    mins = _closed_form_neighbourhoods(space, nbhd, top, include_hits) if closed else None
+    return HyperTopologyBase(space, cl, kind, _dedup_subbase(families), mins)
 
 
 @dataclass(frozen=True)
@@ -362,50 +385,18 @@ def compare(left: HyperTopologyBase, right: HyperTopologyBase) -> ComparisonResu
     return _comparison(refines(left, right), refines(right, left))
 
 
-def _miss_only_neighbourhoods(
-    prox: ProximityRelation,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per hyperpoint of CL(X), its minimal far_miss_only and sf_miss_only
-    neighbourhoods, without building either subbase.
-
-    The caller guarantees that the relation is basic and its space a
-    topology (U below is the smallest open superset only then); nothing
-    here checks either, and on any other input the tuples are not those
-    of `build_topology`.
-
-    A basic relation on a finite set is generated by its singleton
-    nearness R: with N(M) the union of R(i) over i in M, A is near B iff
-    N(A) meets B, and A is strongly far from B iff N(N(A)) misses B, so
-    the sf-miss half is the far-miss half of R∘R. The far-miss subbase
-    members through a hyperpoint E are {E' : E' misses N(B)} for the
-    closed B with E far from B, that is the closed B inside X\\N(E).
-    Those are the closed subsets of K(N(E)) = X\\U(N(E)), U(M) being the
-    smallest open superset of M, and N is additive, so their intersection
-    is the member of K(N(E)) itself: the hyperpoints missing
-    N(K(N(E))). With N∘N in place of N the same gives the sf-miss
-    neighbourhood. These are the tuples `build_topology(...)
-    .minimal_neighbourhoods` gives for the two miss-only kinds.
-    """
-    space = prox.space
-    cl = enumerate_cl(space)
-    near = prox._neighbourhoods()
-    if near is None:  # a table: basic, so its singleton rows generate it
-        near = union_table(_singleton_rows(space.n, prox.near))
-    squared = [near[m] for m in near]
-    hull = space._open_hulls
-    meeting = space._hyperpoints_meeting
-    full, every = space.full_mask, (1 << len(cl)) - 1
-
-    def minimal(nbhd: list[int]) -> tuple[int, ...]:
-        return tuple(every ^ meeting[nbhd[full ^ hull[nbhd[e]]]] for e in cl)
-
-    return minimal(near), minimal(squared)
-
-
 def _compare_miss_halves(prox: ProximityRelation) -> ComparisonResult:
     """`compare` of the far_miss_only and sf_miss_only topologies of a
-    basic relation on a topology, read off `_miss_only_neighbourhoods`."""
-    far, sf = _miss_only_neighbourhoods(prox)
+    relation, building neither subbase. The caller guarantees that the
+    relation is basic and its space a topology; nothing here checks either.
+    """
+    space = prox.space
+    # A table is basic, so its singleton rows generate it.
+    near = prox._neighbourhoods() or union_table(_singleton_rows(space.n, prox.near))
+    far, sf = (
+        _closed_form_neighbourhoods(space, nbhd, space.full_mask, False)
+        for nbhd in (near, [near[m] for m in near])
+    )
     return _comparison(_refines_pointwise(far, sf), _refines_pointwise(sf, far))
 
 

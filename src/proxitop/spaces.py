@@ -239,20 +239,14 @@ class GroundSpace:
         return tuple(m for m in self.closed if m != 0)
 
     @cached_property
-    def _hyperpoints_through(self) -> tuple[int, ...]:
-        """Per point i, the hyperpoints containing i, as a family mask over
-        `nonempty_closed`."""
+    def _hyperpoints_meeting(self) -> tuple[int, ...]:
+        """Per mask m, the hyperpoints meeting m, as a family mask over
+        `nonempty_closed`: the union table of the per-point families."""
         through = [0] * self.n
         for idx, e in enumerate(self.nonempty_closed):
             for i in bits_of(e):
                 through[i] |= 1 << idx
-        return tuple(through)
-
-    @cached_property
-    def _hyperpoints_meeting(self) -> tuple[int, ...]:
-        """Per mask m, the hyperpoints meeting m: the union table of
-        `_hyperpoints_through`."""
-        return tuple(union_table(self._hyperpoints_through))
+        return tuple(union_table(through))
 
     @cached_property
     def _open_hulls(self) -> tuple[int, ...]:

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxitop import build_topology
 from proxitop.cli import main
 from proxitop.modelfile import parse_file
 from proxitop.proximity import ProximityRelation
-from reference import rule_near
+from reference import rule_near, subbase_neighbourhoods
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -336,6 +337,34 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["verdict"] == "equal"
         assert doc["hyperpoints"] == 63
+
+    @pytest.mark.parametrize(
+        "left,right", [("far_miss_only", "sf_miss_only"), ("vietoris", "sf_miss")]
+    )
+    def test_eleven_point_path_relation(self, tmp_path, left, right):
+        # Past the 10-point cap of the dense matrix, which a point relation
+        # never builds: 2,047 hyperpoints, under the default hyperspace cap.
+        path = tmp_path / "path11.yaml"
+        edges = ", ".join(f"[p{i}, p{i + 1}]" for i in range(10))
+        path.write_text(
+            "points: 11\ntopology: discrete\n"
+            f"proximity: {{kind: point_relation, relation: [{edges}]}}\n"
+        )
+        code, out, err = run_cli(
+            "compare", str(path), "--left", left, "--right", right, "--json",
+            "--no-timestamp",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["hyperpoints"] == 2047
+        model = parse_file(str(path))
+        walks = [
+            subbase_neighbourhoods([f.mask for f in topo.subbase], 2047)
+            for topo in (build_topology(model.space, spec, prox=model.proximity)
+                         for spec in (left, right))
+        ]
+        refines = [all(f & ~c == 0 for f, c in zip(*pair)) for pair in (walks, walks[::-1])]
+        assert [doc["left_refines_right"], doc["right_refines_left"]] == refines
 
     def test_unknown_spec_usage_error(self):
         code, _, err = run_cli(

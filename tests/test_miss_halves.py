@@ -1,14 +1,16 @@
-"""The far-miss and sf-miss topologies compared one hyperpoint at a time.
+"""Every hyperspace topology's minimal neighbourhoods against the subbase walk.
 
-`_miss_only_neighbourhoods` reads each hyperpoint's minimal neighbourhood
-in the far_miss_only and sf_miss_only topologies of a basic relation off
-its neighbourhood map, with no subbase. Both tuples are compared with
-`build_topology(...).minimal_neighbourhoods`, and `_compare_miss_halves`
-with `compare` (verdict and witnesses), over every small topology and
-point relation, every basic search candidate up to four points, and
-random draws up to six points. The incomparable pairs of four-point
-models are pinned, and the `incomparable-topologies` search is shown to
-build no hyperspace topology.
+`build_topology` reads the minimal neighbourhoods of the vietoris, fell,
+far-miss and sf-miss topologies, with or without their hit half, off one
+closed form, and walks the subbase only for hit_and_miss, for a relation
+with no neighbourhood table and for a space that is not a topology. Each
+spec's tuple is compared with `reference.subbase_neighbourhoods` of its
+own subbase, and `_compare_miss_halves`, which builds no subbase, with
+`compare` (verdict and witnesses), over every small topology, point
+relation and principal ideal, every basic search candidate up to four
+points, and random draws up to six points. The incomparable pairs of
+four-point models are pinned, and the `incomparable-topologies` search is
+shown to build no hyperspace topology.
 """
 
 import importlib
@@ -16,29 +18,54 @@ import importlib
 from hypothesis import given, settings, strategies as st
 
 from proxitop import (
+    CompactnessIdeal,
     GroundSpace,
     PointRelation,
+    PointSet,
     build_topology,
     check_axioms,
     compare,
     enumerate_point_relations,
     enumerate_topologies,
     point_generated_proximity,
+    table_proximity,
 )
-from proxitop.hyperspace import _compare_miss_halves, _miss_only_neighbourhoods
+from proxitop.hyperspace import MISS_ONLY_KINDS, TOPOLOGY_KINDS, _compare_miss_halves
 from proxitop.search import STATUS_EXHAUSTED, SearchTarget, candidate_models, search
+from reference import subbase_neighbourhoods
 
 FIRST_INCOMPARABLE_OPENS = (0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 15)
 FIRST_INCOMPARABLE_ROWS = (7, 11, 5, 10)
+SPECS = TOPOLOGY_KINDS + MISS_ONLY_KINDS
 
 
-def assert_matches_build(space, prox):
-    far, sf = _miss_only_neighbourhoods(prox)
-    left = build_topology(space, "far_miss_only", prox=prox)
-    right = build_topology(space, "sf_miss_only", prox=prox)
-    assert far == left.minimal_neighbourhoods, (space.opens, prox)
-    assert sf == right.minimal_neighbourhoods, (space.opens, prox)
-    assert _compare_miss_halves(prox) == compare(left, right), (space.opens, prox)
+def assert_matches_walk(topo, closed_form):
+    """The minimal neighbourhoods are the walk of the topology's own subbase,
+    and came from the closed form exactly when `closed_form` says so."""
+    walk = subbase_neighbourhoods([f.mask for f in topo.subbase], len(topo.cl))
+    assert topo.minimal_neighbourhoods == tuple(walk), (topo.space.opens, topo.kind)
+    assert (topo.closed_form is not None) == closed_form, (topo.space.opens, topo.kind)
+
+
+def assert_matches_build(space, prox, ideal=None):
+    """Every spec against the walk (fell and hit_and_miss only with an
+    ideal, the latter over its members), and the miss halves against
+    `compare`. `space` is a topology."""
+    tabled = prox._neighbourhoods() is not None
+    built = {}
+    for kind in SPECS:
+        if kind in ("fell", "hit_and_miss") and ideal is None:
+            continue
+        family = None if ideal is None else ideal.sorted_members()
+        built[kind] = build_topology(space, kind, prox=prox, ideal=ideal, family=family)
+        closed_form = kind in ("vietoris", "fell") or kind != "hit_and_miss" and tabled
+        assert_matches_walk(built[kind], closed_form)
+    halves = compare(built["far_miss_only"], built["sf_miss_only"])
+    assert _compare_miss_halves(prox) == halves, (space.opens, prox)
+
+
+def principal_ideals(space):
+    return [CompactnessIdeal.principal(space, top) for top in space.closed]
 
 
 def point_relation_models(n, up_to_iso):
@@ -53,15 +80,23 @@ class TestAgainstBuiltTopologies:
         count = 0
         for n in (1, 2, 3):
             for space, prox in point_relation_models(n, False):
-                assert_matches_build(space, prox)
-                count += 1
-        assert count == 1 * 1 + 4 * 2 + 29 * 8
+                for ideal in principal_ideals(space):
+                    assert_matches_build(space, prox, ideal)
+                    count += 1
+        # Per n: the closed sets summed over the labelled topologies, times
+        # the point relations.
+        assert count == 2 * 1 + 12 * 2 + 130 * 8
 
     def test_four_point_topologies_up_to_relabeling(self):
         count = 0
-        for space, prox in point_relation_models(4, True):
-            assert_matches_build(space, prox)
-            count += 1
+        for opens in enumerate_topologies(4, True):
+            space = GroundSpace.create(4, opens)
+            ideals = principal_ideals(space)
+            # 64 relations per space take every principal ideal in turn.
+            for i, rel in enumerate(enumerate_point_relations(4)):
+                prox = point_generated_proximity(space, rel)
+                assert_matches_build(space, prox, ideals[i % len(ideals)])
+                count += 1
         assert count == 33 * 64
 
     def test_every_basic_search_candidate_up_to_four_points(self):
@@ -69,7 +104,7 @@ class TestAgainstBuiltTopologies:
         target = SearchTarget("incomparable-topologies", n_max=4)
         for name, model, _ in candidate_models(target, seed=0):
             if check_axioms(model.proximity).is_basic:
-                assert_matches_build(model.space, model.proximity)
+                assert_matches_build(model.space, model.proximity, model.ideal)
                 kinds.add(model.proximity.kind)
         assert {"table", "point_relation", "gap", "alexandroff"} <= kinds
 
@@ -96,7 +131,23 @@ class TestAgainstBuiltTopologies:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         prox = point_generated_proximity(space, PointRelation.from_pairs(n, chosen))
-        assert_matches_build(space, prox)
+        ideal = CompactnessIdeal.principal(space, data.draw(st.sampled_from(space.closed)))
+        assert_matches_build(space, prox, ideal)
+
+    def test_non_basic_table_walks_the_subbase(self):
+        # {0} is not near itself, so no neighbourhood table generates it.
+        space = GroundSpace.discrete(2)
+        prox = table_proximity(space, [(0b01, 0b10), (0b10, 0b10), (0b11, 0b11)])
+        assert not check_axioms(prox).is_basic
+        for kind in ("far_miss", "sf_miss", "far_miss_only", "sf_miss_only"):
+            assert_matches_walk(build_topology(space, kind, prox=prox), False)
+        assert_matches_walk(build_topology(space, "vietoris"), True)
+
+    def test_space_that_is_not_a_topology_walks_the_subbase(self):
+        # {a} and {b} are open but their union is not.
+        space = GroundSpace(PointSet(2), (0b00, 0b01, 0b10))
+        assert not space.topology_report.ok
+        assert_matches_walk(build_topology(space, "vietoris"), False)
 
 
 class TestIncomparableFinding:
