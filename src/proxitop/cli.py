@@ -52,6 +52,12 @@ def _count(minimum: int):
     return parse
 
 
+_CAP_HELP = {
+    "--cap-n": "exhaustive-check size cap",
+    "--cap-hyper": "hyperspace size cap",
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
@@ -61,17 +67,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="proxitop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=None):
+        """The output flags, and the one size cap, if any, the verb applies."""
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--no-timestamp", action="store_true", help="omit the timestamp field"
         )
-        p.add_argument("--cap-n", type=_count(1), default=None, help="exhaustive-check size cap")
-        p.add_argument("--cap-hyper", type=_count(1), default=None, help="hyperspace size cap")
+        if cap is not None:
+            p.add_argument(cap, type=_count(1), default=None, help=_CAP_HELP[cap])
 
     p = sub.add_parser("validate", help="topology, axiom and compatibility report")
     p.add_argument("file")
-    common(p)
+    common(p, "--cap-n")
 
     p = sub.add_parser("relations", help="near/far/strongly-far table for subset pairs")
     p.add_argument("file")
@@ -80,13 +87,13 @@ def _build_parser() -> _Parser:
         default="all",
         help="semicolon-separated name pairs like 'A,B;B,C', or 'all'",
     )
-    common(p)
+    common(p, "--cap-n")
 
     p = sub.add_parser("compare", help="compare two hyperspace topologies")
     p.add_argument("file")
     p.add_argument("--left", required=True, help="topology spec")
     p.add_argument("--right", required=True, help="topology spec")
-    common(p)
+    common(p, "--cap-hyper")
 
     p = sub.add_parser("search", help="hunt finite models for witnesses")
     p.add_argument("--target", required=True, choices=TARGET_NAMES)

@@ -1,16 +1,20 @@
 """Exception types and size caps shared across the toolkit.
 
 Everything in this package enumerates subsets of a finite ground set, so
-costs grow like 2^n (subsets), 4^n (pairs of subsets) or 8^n (triples).
-The caps below bound the exhaustive operations; callers may raise them
-explicitly when they know what they are paying for.
+costs grow like 2^n (subsets) or 4^n (pairs of subsets). The axiom
+checker caps the representation that pays: a point-generated relation
+lives in a 2^n-entry neighbourhood table, bounded by the ground-set cap
+alone, and any other relation needs the 4^n-bit dense matrix, bounded by
+DEFAULT_EXHAUSTIVE_CAP. Callers may raise a cap explicitly when they
+know what they are paying for.
 """
 
 # Ground sets larger than this are rejected at construction time.
 MAX_GROUND_POINTS = 16
 
-# Operations that sweep pairs or triples of subsets (axiom checkers,
-# far-pair partitions) refuse to run exhaustively above this many points.
+# Operations that need a relation's dense near matrix (4^n bits) or sweep
+# every pair of subsets (far-pair partitions) refuse to run above this
+# many points.
 DEFAULT_EXHAUSTIVE_CAP = 10
 
 # Per-pair witness searches (2^n candidate subsets, or regular-open pairs).
@@ -31,10 +35,7 @@ class CapExceededError(ToolkitError):
         self.operation = operation
         self.size = size
         self.cap = cap
-        super().__init__(
-            f"{operation}: size {size} exceeds cap {cap}; "
-            f"raise the cap explicitly or use sampling mode where available"
-        )
+        super().__init__(f"{operation}: size {size} exceeds cap {cap}; raise the cap explicitly")
 
 
 class InvalidTopologyError(ToolkitError):

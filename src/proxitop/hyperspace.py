@@ -98,10 +98,8 @@ def far_miss_set(
     matching the convention that everything is far from the empty set.
     On a point-generated relation E is far from X\\A iff E misses
     N(X\\A), so the family is read off the neighbourhood table with no
-    per-hyperpoint work. Otherwise, up to DEFAULT_EXHAUSTIVE_CAP points,
-    each hyperpoint E is one bit of the relation's dense near matrix, row
-    E, column X\\A; past that cap the 4^n-bit matrix is not built and
-    each pair goes through `near`.
+    per-hyperpoint work. Otherwise each hyperpoint E costs one `near`
+    call, which reads the dense matrix once it has been built.
     """
     space = prox.space
     _require_open(space, a, "far-miss parameter")
@@ -110,14 +108,9 @@ def far_miss_set(
     nbhd = prox._neighbourhoods()
     if nbhd is not None:
         return HyperFamily(_missing(space, nbhd[comp]), (("far-miss", a),))
-    if space.n <= DEFAULT_EXHAUSTIVE_CAP:
-        rows = prox.matrix()
-        near_comp = [rows[e] >> comp & 1 for e in cl]
-    else:
-        near_comp = [prox.near(e, comp) for e in cl]
     mask = 0
-    for idx, near in enumerate(near_comp):
-        if comp == 0 or not near:
+    for idx, e in enumerate(cl):
+        if comp == 0 or not prox.near(e, comp):
             mask |= 1 << idx
     return HyperFamily(mask, (("far-miss", a),))
 

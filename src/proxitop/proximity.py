@@ -20,7 +20,6 @@ not-basic < basic (P0-P3) < lodato (+P4) < ef (P0-P3 + EF).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -138,32 +137,25 @@ class ProximityRelation:
     def matrix(self) -> list[int]:
         """The dense near matrix: bit b of `rows[a]` says whether a near b.
 
-        Built on first use. A point-generated relation reads row a as the
-        masks meeting N[a]; any other calls `rule` once per unordered
-        pair, reusing memoized verdicts.
+        Built on first use by calling `rule` once per unordered pair,
+        reusing memoized verdicts.
         """
         if self._rows is None:
-            n = self.space.n
-            nbhd = self._neighbourhoods()
-            if nbhd is not None:
-                meets, _ = _mask_tables(n)
-                rows = [meets[m] for m in nbhd]
-            else:
-                size = 1 << n
-                rows = [0] * size
-                memo, rule = self._memo, self._rule
-                for a in range(size):
-                    row = rows[a]
-                    for b in range(a, size):
-                        hit = memo.get((a, b))
-                        if hit is None:
-                            hit = rule(a, b)
-                        if hit:
-                            row |= 1 << b
-                            rows[b] |= 1 << a
-                    rows[a] = row
-                self._memo = {}
-                self.eval_count = size * (size + 1) // 2
+            size = 1 << self.space.n
+            rows = [0] * size
+            memo, rule = self._memo, self._rule
+            for a in range(size):
+                row = rows[a]
+                for b in range(a, size):
+                    hit = memo.get((a, b))
+                    if hit is None:
+                        hit = rule(a, b)
+                    if hit:
+                        row |= 1 << b
+                        rows[b] |= 1 << a
+                rows[a] = row
+            self._memo = {}
+            self.eval_count = size * (size + 1) // 2
             self._rows = rows
         return self._rows
 
@@ -500,9 +492,8 @@ class AxiomVerdict:
 class ProximityAxiomReport:
     verdicts: dict[str, AxiomVerdict]
     classification: str
-    exhaustive: bool
+    exhaustive: bool  # always True: every verdict is exact
     checked_axioms: tuple[str, ...] = AXIOM_NAMES
-    samples: Optional[int] = None
 
     def passed(self, name: str) -> bool:
         return self.verdicts[name].passed
@@ -548,43 +539,31 @@ def check_axioms(
     prox: ProximityRelation,
     *,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample: Optional[int] = None,
-    seed: int = 0,
     axioms: Iterable[str] = AXIOM_NAMES,
 ) -> ProximityAxiomReport:
-    """Verify the proximity axioms, exhaustively by default.
+    """Decide the proximity axioms exactly, over all subsets.
 
-    Exhaustive mode decides every axiom over all subsets. A point-generated
-    relation is decided from its neighbourhood table alone, one lookup per
-    mask (`_point_witnesses`); any other relation on its dense matrix
+    A point-generated relation is decided from its neighbourhood table
+    alone, one lookup per mask (`_point_witnesses`), at any size the
+    ground set allows. Any other relation is decided on its dense matrix
     (`ProximityRelation.matrix`), with a few word operations per row or
-    per pair of rows instead of a sweep over triples. Above `cap` points
-    this raises CapExceededError; passing `sample` switches to randomized
-    probing of the sampled masks and the report is labeled
-    non-exhaustive. Witnesses are the first violation in ascending mask
-    order (tuples lexicographic), in every mode.
+    per pair of rows instead of a sweep over triples; `cap` bounds the
+    point count of that 4^n-bit matrix, and above it this raises
+    CapExceededError. Witnesses are the first violation in ascending mask
+    order (tuples lexicographic).
     """
     wanted = set(axioms)
     requested = tuple(a for a in AXIOM_NAMES if a in wanted)
     if not requested:
         raise ToolkitError("no axioms requested")
     n = prox.space.n
-    if sample is None and n > cap:
+    nbhd = prox._neighbourhoods()
+    if nbhd is not None:
+        witnesses = _point_witnesses(nbhd, n, requested)
+    elif n > cap:
         raise CapExceededError("check_axioms", n, cap)
-
-    if sample is None:
-        masks = None
-        nbhd = prox._neighbourhoods()
-        if nbhd is None:
-            witnesses = _matrix_witnesses(prox, requested)
-        else:
-            witnesses = _point_witnesses(nbhd, n, requested)
     else:
-        rng = random.Random(seed)
-        universe = 1 << n
-        count = min(sample, universe)
-        masks = sorted(rng.sample(range(universe), count)) if universe > count else list(all_masks(n))
-        witnesses = _sampled_witnesses(prox, masks, requested)
+        witnesses = _matrix_witnesses(prox, requested)
 
     verdicts = {name: AxiomVerdict(witnesses[name] is None, witnesses[name]) for name in requested}
     if all(p in verdicts for p in ("P0", "P1", "P2", "P3", "P4", "EF")):
@@ -595,9 +574,8 @@ def check_axioms(
     return ProximityAxiomReport(
         verdicts=verdicts,
         classification=classification,
-        exhaustive=sample is None,
+        exhaustive=True,
         checked_axioms=requested,
-        samples=None if masks is None else len(masks),
     )
 
 
@@ -780,123 +758,3 @@ def _p3_witness(
             if row >> (b | c) & 1 != near_b | (row >> c & 1):
                 return (a, b, c)
     raise AssertionError("row fails P3 but no witness found")
-
-
-def _sampled_witnesses(
-    prox: ProximityRelation, masks: list[int], requested: tuple[str, ...]
-) -> dict[str, Witness]:
-    """First violation of each requested axiom over the sampled masks."""
-    n = prox.space.n
-    full = prox.space.full_mask
-    near = prox.near
-    out: dict[str, Witness] = {}
-
-    if "P0" in requested:
-        w = None
-        for a in masks:
-            for b in masks:
-                if near(a, b) != near(b, a):
-                    w = (a, b)
-                    break
-            if w:
-                break
-        out["P0"] = w
-
-    if "P1" in requested:
-        w = None
-        for b in masks:
-            if near(0, b):
-                w = (0, b)
-                break
-        out["P1"] = w
-
-    if "P2" in requested:
-        w = None
-        for a in masks:
-            for b in masks:
-                if a & b and not near(a, b):
-                    w = (a, b)
-                    break
-            if w:
-                break
-        out["P2"] = w
-
-    if "P3" in requested:
-        w = None
-        for a in masks:
-            for b in masks:
-                for c in masks:
-                    if near(a, b | c) != (near(a, b) or near(a, c)):
-                        w = (a, b, c)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        out["P3"] = w
-
-    if "P4" in requested:
-        w = None
-        for a in masks:
-            for b in masks:
-                if not near(a, b):
-                    continue
-                for c in masks:
-                    if near(a, c):
-                        continue
-                    if all(near(1 << i, c) for i in bits_of(b)):
-                        w = (a, b, c)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        out["P4"] = w
-
-    if "P5" in requested:
-        w = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if near(1 << i, 1 << j):
-                    w = (1 << i, 1 << j)
-                    break
-            if w:
-                break
-        out["P5"] = w
-
-    if "EF" in requested:
-        w = None
-        for a in masks:
-            for b in masks:
-                if near(a, b):
-                    continue
-                found = False
-                for e in all_masks(n):
-                    if not near(a, e) and not near(full & ~e, b):
-                        found = True
-                        break
-                if not found:
-                    w = (a, b)
-                    break
-            if w:
-                break
-        out["EF"] = w
-
-    if "EF-betweenness" in requested:
-        w = None
-        for a in masks:
-            for b in masks:
-                if near(a, full & ~b):  # not a strong inclusion A << B
-                    continue
-                found = False
-                for c in all_masks(n):
-                    if not near(a, full & ~c) and not near(c, full & ~b):
-                        found = True
-                        break
-                if not found:
-                    w = (a, b)
-                    break
-            if w:
-                break
-        out["EF-betweenness"] = w
-    return out

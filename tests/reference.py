@@ -60,11 +60,10 @@ def rule_near(prox):
     return near
 
 
-def axiom_witnesses(near, n, masks=None, axioms=AXIOM_NAMES):
-    """First violation (or None) per axiom, sweeping `masks` (default: all)."""
+def axiom_witnesses(near, n, axioms=AXIOM_NAMES):
+    """First violation (or None) per axiom, sweeping every mask."""
     full = (1 << n) - 1
-    if masks is None:
-        masks = list(all_masks(n))
+    masks = list(all_masks(n))
     out = {}
 
     if "P0" in axioms:

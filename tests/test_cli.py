@@ -57,10 +57,11 @@ class TestValidate:
         code, _, err = run_cli("validate", "/nonexistent/model.yaml")
         assert code == 2
 
-    def test_cap_exceeded_exit_3(self):
-        code, _, err = run_cli(
-            "validate", str(MODELS / "discrete_overlap.yaml"), "--cap-n", "2"
-        )
+    def test_cap_exceeded_exit_3(self, tmp_path):
+        # a table has no neighbourhood table, so it needs the dense matrix
+        path = tmp_path / "table3.yaml"
+        path.write_text("points: 3\ntopology: discrete\nproximity: {kind: table, near: []}\n")
+        code, _, err = run_cli("validate", str(path), "--cap-n", "2")
         assert code == 3
         assert "cap" in err
 
@@ -112,6 +113,28 @@ class TestLargeModels:
         assert len(json.loads(out)["pairs"]) == 6
 
 
+    @pytest.mark.parametrize("n", [11, 16])
+    def test_path_relation_is_exact_past_the_matrix_cap(self, tmp_path, n):
+        path = tmp_path / f"path{n}.yaml"
+        edges = ", ".join(f"[p{i}, p{i + 1}]" for i in range(n - 1))
+        path.write_text(
+            f"points: {n}\ntopology: discrete\n"
+            f"proximity: {{kind: point_relation, relation: [{edges}]}}\n"
+        )
+        argv = ("validate", str(path), "--json", "--no-timestamp")
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["proximity"]["exhaustive"] is True
+        assert run_cli(*argv, "--cap-n", str(n)) == (code, out, err)
+
+    def test_table_past_the_matrix_cap_exit_3(self, tmp_path):
+        path = tmp_path / "table11.yaml"
+        path.write_text("points: 11\ntopology: discrete\nproximity: {kind: table, near: []}\n")
+        code, out, err = run_cli("validate", str(path), "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert "check_axioms: size 11 exceeds cap 10" in err
+
+
 def violates(name, witness, near, n):
     """Replay one reported witness against its axiom's defining condition."""
     full = (1 << n) - 1
@@ -157,6 +180,22 @@ class TestRobustness:
         code, _, err = run_cli("search", "--target", "sf-not-hat", "--budget", "-5")
         assert code == 1
         assert "--budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare", str(MODELS / "discrete_overlap.yaml"), "--left", "vietoris",
+             "--right", "far_miss", "--cap-n", "3"),
+            ("search", "--target", "sf-not-hat", "--max-n", "2", "--cap-hyper", "5"),
+            ("search", "--target", "sf-not-hat", "--max-n", "2", "--cap-n", "3"),
+            ("validate", str(MODELS / "discrete_overlap.yaml"), "--cap-hyper", "5"),
+            ("relations", str(MODELS / "discrete_overlap.yaml"), "--cap-hyper", "5"),
+        ],
+    )
+    def test_cap_flag_a_verb_does_not_apply_exit_1(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
 
     def test_negative_cap_exit_1(self):
         code, _, err = run_cli("validate", str(MODELS / "discrete_overlap.yaml"), "--cap-n", "-3")

@@ -169,17 +169,6 @@ def test_topology_validation_matches_pair_scan(space):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_sampled_mode_sweeps_the_sampled_masks(seed):
-    space = GroundSpace.create(5, (0, 1, 3, 7, 15, 31))
-    prox = overlap_proximity(space)
-    masks = sorted(random.Random(seed).sample(range(32), 12))
-    expected = axiom_witnesses(rule_near(prox), 5, masks=masks)
-    report = check_axioms(prox, sample=12, seed=seed)
-    assert not report.exhaustive and report.samples == 12
-    assert {name: report.verdicts[name].witness for name in AXIOM_NAMES} == expected
-
-
 class TestMatrix:
     def test_rows_agree_with_rule(self):
         for name, make in CONSTRUCTORS.items():

@@ -272,24 +272,17 @@ class TestEFBetweennessEquivalence:
             assert report.passed("EF") == report.passed("EF-betweenness")
 
 
-class TestCapsAndSampling:
+class TestCaps:
     def test_cap_exceeded(self):
+        # a table has no neighbourhood table, so it needs the dense matrix
         space = GroundSpace.discrete(4)
         with pytest.raises(CapExceededError):
-            check_axioms(overlap_proximity(space), cap=3)
+            check_axioms(table_proximity(space, [(1, 1)]), cap=3)
 
-    def test_sampling_mode_is_labeled(self):
-        space = GroundSpace.discrete(12)
-        report = check_axioms(overlap_proximity(space), cap=3, sample=40, seed=7)
-        assert not report.exhaustive
-        assert report.samples == 40
-        assert report.passed("P0") and report.passed("P2")
-
-    def test_sampling_deterministic(self):
-        space = GroundSpace.discrete(12)
-        r1 = check_axioms(overlap_proximity(space), sample=30, seed=3)
-        r2 = check_axioms(overlap_proximity(space), sample=30, seed=3)
-        assert r1 == r2
+    def test_cap_bounds_only_the_matrix(self):
+        report = check_axioms(overlap_proximity(GroundSpace.discrete(12)), cap=3)
+        assert report.exhaustive
+        assert report.classification == "ef"
 
 
 @st.composite

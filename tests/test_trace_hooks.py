@@ -3,14 +3,21 @@
 `perfbench/spans.py` rebinds program functions by name when a traced run
 starts, so a rename or deletion in the package would make
 `perfbench/run.py --trace 1` fail. The spans file is loaded by path, not
-imported as a package, and nothing from it is installed.
+imported as a package. The smoke test installs its tracer around CLI
+runs, so a change to `check_axioms`' keywords or to the report's fields
+that the per-axiom wrapper relies on fails here too.
 """
 
 import importlib
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
-SPANS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from proxitop import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_FILE = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -41,3 +48,35 @@ def test_functions_the_tracer_wraps_by_hand_exist():
     assert callable(search.search)
     assert callable(search.candidate_models)
     assert callable(search.enumerate_topologies.cache_clear)
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def test_traced_validate_prints_the_untraced_report(tmp_path):
+    table = tmp_path / "table.yaml"
+    table.write_text(
+        "points: [a, b]\ntopology: discrete\n"
+        "proximity: {kind: table, near: [[[a], [a]], [[a], [a, b]], [[b], [a, b]]]}\n"
+    )
+    runs = [
+        ["validate", str(path), "--no-timestamp", *flags]
+        for path in (ROOT / "models" / "discrete_overlap.yaml", table)
+        for flags in ((), ("--json",))
+    ]
+    plain = [_stdout(argv) for argv in runs]
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = [_stdout(argv) for argv in runs]
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.calls["proximity.check_axioms"] == len(runs)
+    for axiom in spans.AXIOMS:
+        assert tracer.calls[f"proximity.axiom.{axiom}"] == len(runs), axiom
