@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
         default="all",
         help="semicolon-separated name pairs like 'A,B;B,C', or 'all'",
     )
-    common(p, "--cap-n")
+    common(p)
 
     p = sub.add_parser("compare", help="compare two hyperspace topologies")
     p.add_argument("file")
@@ -199,7 +199,6 @@ def _cmd_relations(args) -> dict:
     model = _load(args.file)
     prox = model.proximity
     space = model.space
-    cap = {} if args.cap_n is None else {"cap": args.cap_n}
     rows = []
     for name_a, name_b in _pair_list(model, args.pairs):
         a, b = model.subsets[name_a], model.subsets[name_b]
@@ -212,8 +211,8 @@ def _cmd_relations(args) -> dict:
             row["verdict"] = "degenerate (empty side)"
             rows.append(row)
             continue
-        sf = strongly_far(prox, a, b, **cap)
-        hat = hat_strongly_far(space, a, b, **cap)
+        sf = strongly_far(prox, a, b)
+        hat = hat_strongly_far(space, a, b)
         row.update(
             {
                 "near": prox.near(a, b),

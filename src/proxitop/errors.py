@@ -1,24 +1,22 @@
 """Exception types and size caps shared across the toolkit.
 
 Everything in this package enumerates subsets of a finite ground set, so
-costs grow like 2^n (subsets) or 4^n (pairs of subsets). The axiom
-checker caps the representation that pays: a point-generated relation
-lives in a 2^n-entry neighbourhood table, bounded by the ground-set cap
-alone, and any other relation needs the 4^n-bit dense matrix, bounded by
-DEFAULT_EXHAUSTIVE_CAP. Callers may raise a cap explicitly when they
-know what they are paying for.
+costs grow like 2^n (subsets) or 4^n (pairs of subsets). A cap bounds a
+table that is built or a sweep over every pair, and nothing else. A
+point-generated relation lives in a 2^n-entry neighbourhood table,
+bounded by the ground-set cap alone; any other relation needs the
+4^n-bit dense matrix, bounded by DEFAULT_EXHAUSTIVE_CAP, as are the
+theorem sweeps over all far pairs or all pairs of opens. Per-pair
+witness searches (at most 2^n candidates) have no cap of their own.
 """
 
 # Ground sets larger than this are rejected at construction time.
 MAX_GROUND_POINTS = 16
 
-# Operations that need a relation's dense near matrix (4^n bits) or sweep
-# every pair of subsets (far-pair partitions) refuse to run above this
-# many points.
+# Operations that build a relation's dense near matrix (4^n bits), and
+# the sweeps over every far pair (up to 3^n) or pair of opens, refuse to
+# run above this many points. Only `check_axioms` takes it as a keyword.
 DEFAULT_EXHAUSTIVE_CAP = 10
-
-# Per-pair witness searches (2^n candidate subsets, or regular-open pairs).
-DEFAULT_WITNESS_CAP = 12
 
 # Maximum number of hyperpoints (nonempty closed sets) in CL(X).
 DEFAULT_HYPER_CAP = 4096
@@ -35,7 +33,7 @@ class CapExceededError(ToolkitError):
         self.operation = operation
         self.size = size
         self.cap = cap
-        super().__init__(f"{operation}: size {size} exceeds cap {cap}; raise the cap explicitly")
+        super().__init__(f"{operation}: size {size} exceeds cap {cap}")
 
 
 class InvalidTopologyError(ToolkitError):

@@ -116,11 +116,7 @@ def far_miss_set(
 
 
 def sf_miss_set(
-    prox: ProximityRelation,
-    a: int,
-    *,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    hyper_cap: int = DEFAULT_HYPER_CAP,
+    prox: ProximityRelation, a: int, *, hyper_cap: int = DEFAULT_HYPER_CAP
 ) -> HyperFamily:
     """{ E in CL(X) : E strongly far from X\\A }, for open A.
 
@@ -130,7 +126,7 @@ def sf_miss_set(
     neighbourhood table. Otherwise E is strongly far from B iff it is far
     from B and from some X\\C with C far from B; those X\\C are B's far
     row of the dense matrix, index-reversed, and only that one row is
-    reversed per call. `cap` bounds the point count of that matrix path.
+    reversed per call; DEFAULT_EXHAUSTIVE_CAP bounds that matrix.
     """
     space = prox.space
     _require_open(space, a, "strongly-far-miss parameter")
@@ -139,8 +135,8 @@ def sf_miss_set(
     nbhd = prox._neighbourhoods()
     if nbhd is not None:
         return HyperFamily(_missing(space, nbhd[nbhd[comp]]), (("sf-miss", a),))
-    if space.n > cap:
-        raise CapExceededError("sf_miss_set", space.n, cap)
+    if space.n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError("sf_miss_set", space.n, DEFAULT_EXHAUSTIVE_CAP)
     rows = prox.matrix()
     size = 1 << space.n
     far_comp = ((1 << size) - 1) ^ rows[comp]
@@ -416,16 +412,13 @@ class InclusionContainmentReport:
 
 
 def check_inclusion_containment(
-    space: GroundSpace,
-    prox: ProximityRelation,
-    *,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
+    space: GroundSpace, prox: ProximityRelation
 ) -> InclusionContainmentReport:
     if prox.space is not space and prox.space != space:
         return InclusionContainmentReport(False, "relation lives on a different space")
-    if space.n > cap:
-        raise CapExceededError("check_inclusion_containment", space.n, cap)
-    report = check_axioms(prox, cap=cap)
+    if space.n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError("check_inclusion_containment", space.n, DEFAULT_EXHAUSTIVE_CAP)
+    report = check_axioms(prox)
     if not report.is_lodato:
         return InclusionContainmentReport(
             False, f"relation is {report.classification}, not lodato"
@@ -435,7 +428,7 @@ def check_inclusion_containment(
             False, "relation is not compatible with the topology"
         )
     far_families = {a: far_miss_set(prox, a).mask for a in space.opens}
-    sf_families = {a: sf_miss_set(prox, a, cap=cap).mask for a in space.opens}
+    sf_families = {a: sf_miss_set(prox, a).mask for a in space.opens}
     violations = []
     checked = 0
     for u in space.opens:
@@ -460,14 +453,12 @@ class MissHalvesReport:
     pairs_checked: int
 
 
-def check_miss_half_inclusions(
-    prox: ProximityRelation, *, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> MissHalvesReport:
+def check_miss_half_inclusions(prox: ProximityRelation) -> MissHalvesReport:
     space = prox.space
-    if space.n > cap:
-        raise CapExceededError("check_miss_half_inclusions", space.n, cap)
+    if space.n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError("check_miss_half_inclusions", space.n, DEFAULT_EXHAUSTIVE_CAP)
     far_families = {a: far_miss_set(prox, a).mask for a in space.opens}
-    sf_families = {a: sf_miss_set(prox, a, cap=cap).mask for a in space.opens}
+    sf_families = {a: sf_miss_set(prox, a).mask for a in space.opens}
     backward = []
     forward = []
     checked = 0

@@ -40,32 +40,32 @@ class ProximityRelation:
     """A total symmetric relation over pairs of subset masks.
 
     Verdicts come from `rule`, called with the unordered pair (a <= b),
-    so symmetry (P0) holds structurally. Until the relation is swept,
-    each verdict is memoized under its pair key.
+    so symmetry (P0) holds structurally. A relation has one description,
+    its rule, and settles into at most one stored form; nothing is kept
+    per pair before it does.
 
-    A relation has one description, its rule. A constructor whose rule
-    is generated by its singleton verdicts passes `point_generated`, a
-    condition asked on first use (overlap and Alexandroff: the family is
-    a topology; gap, point relation and constant: always; the derived
-    strongly-far relation: its base is point-generated). While it holds,
-    the relation is settled by its point rows R(i) = {j : {i} near {j}},
-    read off n(n-1)/2 singleton calls of the rule (R(i) holds i by P2),
-    and the neighbourhood table built from them: N[a] is the union of
-    R(i) over i in a, a near b iff N[a] meets b, and the table, 2^n ints,
-    is the only representation the relation needs. Any other relation
-    (tables, and the rest on a broken family) is settled by the first
-    exhaustive sweep (`matrix`) into a dense bit matrix of 4^n bits.
-    Either way `near` reads the settled form from then on.
+    A constructor whose rule is generated by its singleton verdicts
+    passes `point_generated`, a condition asked once, on first use
+    (overlap and Alexandroff: the family is a topology; gap, point
+    relation and constant: always; the derived strongly-far relation:
+    its base is point-generated). Where it holds, the relation settles at
+    its first `near` on its neighbourhood table: the point rows
+    R(i) = {j : {i} near {j}}, read off n(n-1)/2 singleton calls of the
+    rule (R(i) holds i by P2), give N[a], the union of R(i) over i in a,
+    by one OR per mask, and a near b iff N[a] meets b. The table, 2^n
+    ints, is the only representation such a relation needs. Any other
+    relation (tables, and the rest on a broken family) calls the rule on
+    every `near` until its first exhaustive sweep (`matrix`) settles it
+    on a dense bit matrix of 4^n bits.
 
-    `eval_count` is the number of unordered pairs whose verdict the
-    relation has determined: memo misses before it is settled, all
-    2^n (2^n + 1) / 2 pairs once it is. The model searcher uses it as
-    its budget unit. A pair's verdict never changes once determined.
+    `eval_count` is the model searcher's budget unit: the number of rule
+    calls `near` has made before the relation settles, and all
+    2^n (2^n + 1) / 2 unordered pairs once it has.
     """
 
     __slots__ = (
-        "space", "kind", "params", "_rule", "_memo", "eval_count", "_rows", "_singletons",
-        "_nbhd", "_point_generated",
+        "space", "kind", "params", "_rule", "eval_count", "_rows", "_singletons", "_nbhd",
+        "_point_generated",
     )
 
     def __init__(
@@ -80,13 +80,12 @@ class ProximityRelation:
         self.kind = kind
         self.params = params or {}
         self._rule = rule
-        self._memo: dict[tuple[int, int], bool] = {}
         self.eval_count = 0
         self._rows: Optional[list[int]] = None
         self._singletons: Optional[tuple[int, ...]] = None
         self._nbhd: Optional[list[int]] = None
         # Where it holds, the rule is additive with a reflexive, symmetric
-        # R, which the axiom kernel relies on.
+        # R, which the axiom kernel relies on. Cleared once asked.
         self._point_generated = point_generated
 
     def near(self, a: int, b: int) -> bool:
@@ -96,13 +95,10 @@ class ProximityRelation:
         rows = self._rows
         if rows is not None:
             return rows[a] >> b & 1 == 1
-        key = (a, b) if a <= b else (b, a)
-        hit = self._memo.get(key)
-        if hit is None:
-            self.eval_count += 1
-            hit = self._rule(key[0], key[1])
-            self._memo[key] = hit
-        return hit
+        if self._neighbourhoods() is not None:
+            return self._nbhd[a] & b != 0
+        self.eval_count += 1
+        return self._rule(a, b) if a <= b else self._rule(b, a)
 
     def far(self, a: int, b: int) -> bool:
         return not self.near(a, b)
@@ -110,16 +106,16 @@ class ProximityRelation:
     def _point_rows(self) -> Optional[tuple[int, ...]]:
         """The point rows R, or None unless the relation is point-generated.
 
-        Read on first use off the rule's singleton verdicts (bypassing the
-        memo); reading them determines every pair, since R settles the
-        relation.
+        The condition is asked on the first call only; reading R settles
+        the relation, so `eval_count` counts every pair from then on.
         """
         generated = self._point_generated
-        if self._singletons is None and generated is not None and generated():
-            size = 1 << self.space.n
-            self._singletons = _singleton_rows(self.space.n, self._rule)
-            self._memo = {}
-            self.eval_count = size * (size + 1) // 2
+        if generated is not None:
+            self._point_generated = None
+            if generated():
+                size = 1 << self.space.n
+                self._singletons = _singleton_rows(self.space.n, self._rule)
+                self.eval_count = size * (size + 1) // 2
         return self._singletons
 
     def _neighbourhoods(self) -> Optional[list[int]]:
@@ -137,24 +133,19 @@ class ProximityRelation:
     def matrix(self) -> list[int]:
         """The dense near matrix: bit b of `rows[a]` says whether a near b.
 
-        Built on first use by calling `rule` once per unordered pair,
-        reusing memoized verdicts.
+        Built on first use by calling `rule` once per unordered pair.
         """
         if self._rows is None:
             size = 1 << self.space.n
             rows = [0] * size
-            memo, rule = self._memo, self._rule
+            rule = self._rule
             for a in range(size):
                 row = rows[a]
                 for b in range(a, size):
-                    hit = memo.get((a, b))
-                    if hit is None:
-                        hit = rule(a, b)
-                    if hit:
+                    if rule(a, b):
                         row |= 1 << b
                         rows[b] |= 1 << a
                 rows[a] = row
-            self._memo = {}
             self.eval_count = size * (size + 1) // 2
             self._rows = rows
         return self._rows

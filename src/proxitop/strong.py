@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, DEFAULT_WITNESS_CAP
+from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP
 from .proximity import ProximityRelation, _far_rows, check_axioms, is_compatible
 from .spaces import GroundSpace, all_masks, bits_of, regular_open_hull
 
@@ -64,9 +64,7 @@ def _raw_strongly_far(prox: ProximityRelation, a: int, b: int) -> Optional[int]:
     return None
 
 
-def strongly_far(
-    prox: ProximityRelation, a: int, b: int, *, cap: int = DEFAULT_WITNESS_CAP
-) -> WitnessResult:
+def strongly_far(prox: ProximityRelation, a: int, b: int) -> WitnessResult:
     """Is A strongly far from B, and which C shows it?
 
     On a point-generated relation the first C is N(A), and it works iff
@@ -76,8 +74,6 @@ def strongly_far(
     """
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
-    if prox.space.n > cap:
-        raise CapExceededError("strongly_far", prox.space.n, cap)
     nbhd = prox._neighbourhoods()
     if nbhd is None:
         c = _raw_strongly_far(prox, a, b)
@@ -96,9 +92,7 @@ def replay_strongly_far(prox: ProximityRelation, a: int, b: int, c: int) -> bool
     return prox.far(a, b) and prox.far(a, full & ~c) and prox.far(c, b)
 
 
-def hat_strongly_far(
-    space: GroundSpace, a: int, b: int, *, cap: int = DEFAULT_WITNESS_CAP
-) -> WitnessResult:
+def hat_strongly_far(space: GroundSpace, a: int, b: int) -> WitnessResult:
     """Do disjoint regular-open hulls int(cl E), int(cl C) cover A and B?
 
     minRO(B), the meet of the hulls covering B, lies inside each of them,
@@ -111,9 +105,6 @@ def hat_strongly_far(
     """
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
-    n = space.n
-    if n > cap:
-        raise CapExceededError("hat_strongly_far", n, cap)
     if a & b:  # hulls covering A and B would meet inside A & B
         return WitnessResult(holds=False)
     hulls = space.regular_open_hulls
@@ -195,12 +186,7 @@ class SfImpliesHatReport:
         return self.applicable and not self.violations
 
 
-def check_sf_implies_hat(
-    space: GroundSpace,
-    prox: ProximityRelation,
-    *,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-) -> SfImpliesHatReport:
+def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> SfImpliesHatReport:
     """Check that every strongly-far pair is hat-strongly-far.
 
     Precondition: the relation is Lodato and compatible with the space's
@@ -208,13 +194,14 @@ def check_sf_implies_hat(
     not, the check is skipped and the report says why. The strongly-far
     partners of each a are visited in ascending order; on a point-generated
     relation they are the nonempty submasks of X\\N(N(a)), which a Lodato
-    one (N(N(a)) = N(a)) makes all of a's far partners.
+    one (N(N(a)) = N(a)) makes all of a's far partners. The sweep is
+    bounded by DEFAULT_EXHAUSTIVE_CAP.
     """
     if prox.space is not space and prox.space != space:
         return SfImpliesHatReport(False, "relation lives on a different space")
-    if space.n > cap:
-        raise CapExceededError("check_sf_implies_hat", space.n, cap)
-    report = check_axioms(prox, cap=cap)
+    if space.n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError("check_sf_implies_hat", space.n, DEFAULT_EXHAUSTIVE_CAP)
+    report = check_axioms(prox)
     if not report.is_lodato:
         return SfImpliesHatReport(False, f"relation is {report.classification}, not lodato")
     if not is_compatible(prox):
@@ -243,20 +230,16 @@ class FarVsSfReport:
         return self.far_not_strongly_far == 0
 
 
-def check_far_vs_sf(
-    prox: ProximityRelation,
-    *,
-    examples_cap: int = 5,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-) -> FarVsSfReport:
+def check_far_vs_sf(prox: ProximityRelation, *, examples_cap: int = 5) -> FarVsSfReport:
     """Classify every far pair of nonempty subsets by strong farness.
 
     Reads the neighbourhood table or the dense matrix, so the relation is
-    settled on every pair.
+    settled on every pair. Up to 3^n far pairs are visited even on the
+    table, so DEFAULT_EXHAUSTIVE_CAP bounds the sweep.
     """
     n = prox.space.n
-    if n > cap:
-        raise CapExceededError("check_far_vs_sf", n, cap)
+    if n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError("check_far_vs_sf", n, DEFAULT_EXHAUSTIVE_CAP)
     both = 0
     far_only = 0
     ex_both: list[tuple[int, int]] = []

@@ -12,7 +12,7 @@ from proxitop import build_topology
 from proxitop.cli import main
 from proxitop.modelfile import parse_file
 from proxitop.proximity import ProximityRelation
-from reference import rule_near, subbase_neighbourhoods
+from reference import raw_strongly_far, rule_near, subbase_neighbourhoods
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -190,6 +190,7 @@ class TestRobustness:
             ("search", "--target", "sf-not-hat", "--max-n", "2", "--cap-n", "3"),
             ("validate", str(MODELS / "discrete_overlap.yaml"), "--cap-hyper", "5"),
             ("relations", str(MODELS / "discrete_overlap.yaml"), "--cap-hyper", "5"),
+            ("relations", str(MODELS / "discrete_overlap.yaml"), "--cap-n", "3"),
         ],
     )
     def test_cap_flag_a_verb_does_not_apply_exit_1(self, argv):
@@ -294,14 +295,33 @@ class TestRelations:
         assert code == 1
         assert "Z" in err
 
-    def test_cap_n_bounds_the_witness_searches(self):
-        path = str(MODELS / "alexandroff_ideal.yaml")
-        code, _, err = run_cli("relations", path, "--cap-n", "3")
-        assert code == 3
-        assert "strongly_far" in err
-        default = run_cli("relations", path, "--no-timestamp")
-        assert default[0] == 0
-        assert run_cli("relations", path, "--no-timestamp", "--cap-n", "4") == default
+    @pytest.mark.parametrize(
+        "proximity",
+        [
+            "{kind: point_relation, relation: [%s]}"
+            % ", ".join(f"[p{i}, p{i + 1}]" for i in range(15)),
+            "{kind: table, near: [[[p0], [p0]], [[p0], [p0, p1]], [[p15], [p15]],\n"
+            "  [[p0, p1], [p0, p1]], [[p0], [%s]]]}" % ", ".join(f"p{i}" for i in range(16)),
+        ],
+        ids=["path", "table"],
+    )
+    def test_sixteen_points_match_the_reference_sweep(self, tmp_path, proximity):
+        path = tmp_path / "sixteen.yaml"
+        path.write_text(
+            f"points: 16\ntopology: discrete\nproximity: {proximity}\n"
+            "subsets: {A: [p0], B: [p15], C: [p0, p1], D: [p2, p3]}\n"
+        )
+        code, out, err = run_cli("relations", str(path), "--json", "--no-timestamp")
+        assert (code, err) == (0, "")
+        model = parse_file(str(path))
+        near = rule_near(model.proximity)
+        rows = json.loads(out)["pairs"]
+        assert len(rows) == 10
+        for row in rows:
+            a, b = (model.subsets[name] for name in row["pair"].split(","))
+            c = raw_strongly_far(near, 16, a, b)
+            witness = None if c is None else model.space.format(c)
+            assert (row["strongly_far"], row["sf_witness"]) == (c is not None, witness), row
 
     def test_all_pairs(self):
         code, out, _ = run_cli(

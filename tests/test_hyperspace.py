@@ -2,6 +2,7 @@
 
 import functools
 import operator
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,24 @@ class TestFarMiss:
                 assert miss_set(discrete3, v).mask & ~miss_set(discrete3, w).mask == 0
                 assert far_miss_set(prox, v).mask & ~far_miss_set(prox, w).mask == 0
                 assert sf_miss_set(prox, v).mask & ~sf_miss_set(prox, w).mask == 0
+
+
+    def test_far_miss_off_the_table_stores_nothing_per_pair(self):
+        """A relation with no neighbourhood table calls its rule per
+        hyperpoint; 65,280 calls keep no per-pair record."""
+        space = GroundSpace.discrete(8)
+        prox = table_proximity(space, [(a, b) for a in range(256) for b in range(a, 256) if a & b])
+        cl = enumerate_cl(space)
+        space._hyperpoints_meeting  # the space's own cached table, built up front
+        tracemalloc.start()
+        try:
+            got = [far_miss_set(prox, a).mask for a in space.opens]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        near = rule_near(prox)
+        assert got == [far_miss_mask(near, cl, space.complement(a)) for a in space.opens]
+        assert peak < 1 << 20, peak
 
 
 class TestBuildTopology:

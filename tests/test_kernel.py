@@ -180,11 +180,12 @@ class TestMatrix:
                     assert (rows[a] >> b & 1 == 1) == near(a, b), (name, a, b)
 
     def test_eval_count_counts_determined_pairs(self):
-        prox = overlap_proximity(GroundSpace.discrete(3))
+        """A table counts rule calls until its matrix settles every pair."""
+        prox = table_proximity(GroundSpace.discrete(3), [(1, 2)])
         prox.near(1, 2)
         prox.near(2, 1)
         prox.near(1, 1)
-        assert prox.eval_count == 2
+        assert prox.eval_count == 3
         check_axioms(prox)
         assert prox.eval_count == 8 * 9 // 2
         prox.near(5, 6)
@@ -198,7 +199,39 @@ class TestMatrix:
             return a & b != 0
 
         prox = ProximityRelation(GroundSpace.discrete(2), "custom", rule)
-        prox.near(1, 3)
+        assert prox.near(3, 1)
+        assert calls == [(1, 3)]
+        calls.clear()
         check_axioms(prox)
         check_axioms(prox, axioms=["P3"])
-        assert len(calls) == len(set(calls)) == 4 * 5 // 2
+        prox.near(1, 3)
+        assert sorted(calls) == [(a, b) for a in range(4) for b in range(a, 4)]
+
+    def test_point_generated_relation_settles_at_first_near(self):
+        calls, asked = [], []
+
+        def rule(a, b):
+            calls.append((a, b))
+            return a & b != 0
+
+        prox = ProximityRelation(
+            GroundSpace.discrete(3), "custom", rule, point_generated=lambda: not asked.append(1)
+        )
+        assert not prox.near(5, 2)
+        assert calls == [(1, 2), (1, 4), (2, 4)]
+        assert prox._nbhd is not None and prox._rows is None
+        assert prox.eval_count == 8 * 9 // 2
+        prox.near(3, 6)
+        check_axioms(prox)
+        assert len(calls) == 3 and asked == [1]
+
+    def test_point_generation_is_asked_once(self):
+        asked = []
+        prox = ProximityRelation(
+            GroundSpace.discrete(2), "custom", lambda a, b: a & b != 0,
+            point_generated=lambda: asked.append(1) is not None,
+        )
+        for a in range(4):
+            prox.near(a, 3)
+        assert asked == [1] and prox._nbhd is None
+        assert prox.eval_count == 4

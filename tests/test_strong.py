@@ -3,6 +3,7 @@
 import pytest
 
 from proxitop import (
+    CapExceededError,
     CompactnessIdeal,
     GroundSpace,
     Metric,
@@ -11,6 +12,8 @@ from proxitop import (
     alexandroff_proximity,
     check_axioms,
     check_far_vs_sf,
+    check_inclusion_containment,
+    check_miss_half_inclusions,
     check_sf_implies_hat,
     derived_near_from_sf,
     gap_proximity,
@@ -257,3 +260,27 @@ class TestPathRelationRegime:
         assert not strongly_far(prox, 0b001, 0b100).holds
         report = check_far_vs_sf(prox)
         assert report.far_not_strongly_far > 0
+
+
+class TestSweepCaps:
+    """The sweeps over every far pair or pair of opens keep their cap on
+    a neighbourhood table too: the work, not a table, is what grows."""
+
+    @pytest.mark.parametrize(
+        "name, sweep",
+        [
+            ("check_far_vs_sf", lambda space, prox: check_far_vs_sf(prox)),
+            ("check_sf_implies_hat", check_sf_implies_hat),
+            ("check_inclusion_containment", check_inclusion_containment),
+            ("check_miss_half_inclusions", lambda space, prox: check_miss_half_inclusions(prox)),
+        ],
+    )
+    def test_eleven_points_exceed_the_cap(self, name, sweep):
+        space = GroundSpace.discrete(11)
+        prox = point_generated_proximity(
+            space, PointRelation.from_pairs(11, [(i, i + 1) for i in range(10)])
+        )
+        assert prox._neighbourhoods() is not None
+        with pytest.raises(CapExceededError) as info:
+            sweep(space, prox)
+        assert str(info.value) == f"{name}: size 11 exceeds cap 10"

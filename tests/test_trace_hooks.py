@@ -80,3 +80,18 @@ def test_traced_validate_prints_the_untraced_report(tmp_path):
     assert tracer.calls["proximity.check_axioms"] == len(runs)
     for axiom in spans.AXIOMS:
         assert tracer.calls[f"proximity.axiom.{axiom}"] == len(runs), axiom
+
+
+def test_traced_relations_prints_the_untraced_report():
+    argv = ["relations", str(ROOT / "models" / "alexandroff_ideal.yaml"), "--no-timestamp"]
+    plain = _stdout(argv)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = _stdout(argv)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.calls["strong.strongly_far"] > 0
+    assert tracer.calls["strong.hat"] > 0
