@@ -5,11 +5,16 @@ only environment-dependent output is the optional timestamp, disabled by
 --no-timestamp for byte-stable golden runs. Exit codes: 0 success (axiom
 failures are findings, not errors), 1 usage error, 2 model parse error,
 3 size cap exceeded.
+
+The argument parser is built once per process, on the first call of
+`main`; `main` keeps no other state between calls, so callers may run it
+in a loop.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -63,7 +68,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use (not at import).
+
+    Each `parse_args` returns a fresh namespace and `error` raises without
+    touching the parser, so one parser serves every call of `main`.
+    """
     parser = _Parser(prog="proxitop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,6 +31,7 @@ names, ascending masks), so byte-identical output is reproducible, and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -368,12 +369,18 @@ def serialize(model: Model) -> str:
     names = space.points.labels
     lines = [f"points: {_emit_inline_list(names)}"]
 
+    # A table lists each subset once per near pair it is in; format each
+    # distinct mask once.
+    @functools.cache
+    def subset(mask: int) -> str:
+        return _emit_inline_list(space.points.names(mask))
+
     if space.opens == tuple(all_masks(space.n)):
         lines.append("topology: discrete")
     else:
         lines.append("topology:")
         for o in space.opens:
-            lines.append(f"  - {_emit_inline_list(space.points.names(o))}")
+            lines.append(f"  - {subset(o)}")
 
     if model.metric is not None:
         lines.append("metric:")
@@ -395,16 +402,13 @@ def serialize(model: Model) -> str:
         else:
             lines.append("  ideal:")
             for m in ideal.sorted_members():
-                lines.append(f"    - {_emit_inline_list(space.points.names(m))}")
+                lines.append(f"    - {subset(m)}")
     elif prox.kind == "table":
         pairs = sorted(prox.params["near_pairs"])
         if pairs:
             lines.append("  near:")
             for a, b in pairs:
-                lines.append(
-                    f"    - [{_emit_inline_list(space.points.names(a))}, "
-                    f"{_emit_inline_list(space.points.names(b))}]"
-                )
+                lines.append(f"    - [{subset(a)}, {subset(b)}]")
         else:
             lines.append("  near: []")
     elif prox.kind == "point_relation":
@@ -422,7 +426,7 @@ def serialize(model: Model) -> str:
     if model.subsets:
         lines.append("subsets:")
         for name in sorted(model.subsets):
-            lines.append(f"  {name}: {_emit_inline_list(space.points.names(model.subsets[name]))}")
+            lines.append(f"  {name}: {subset(model.subsets[name])}")
 
     if model.replay:
         lines.append("replay:")

@@ -51,7 +51,8 @@ class ProximityRelation:
     its base is point-generated). Where it holds, the relation settles at
     its first `near` on its neighbourhood table: the point rows
     R(i) = {j : {i} near {j}}, read off n(n-1)/2 singleton calls of the
-    rule (R(i) holds i by P2), give N[a], the union of R(i) over i in a,
+    rule (R(i) holds i by P2) unless the constructor already holds them
+    (a point relation), give N[a], the union of R(i) over i in a,
     by one OR per mask, and a near b iff N[a] meets b. The table, 2^n
     ints, is the only representation such a relation needs. Any other
     relation (tables, and the rest on a broken family) calls the rule on
@@ -107,14 +108,16 @@ class ProximityRelation:
         """The point rows R, or None unless the relation is point-generated.
 
         The condition is asked on the first call only; reading R settles
-        the relation, so `eval_count` counts every pair from then on.
+        the relation, so `eval_count` counts every pair from then on. R is
+        read off the rule unless the constructor stored it.
         """
         generated = self._point_generated
         if generated is not None:
             self._point_generated = None
             if generated():
                 size = 1 << self.space.n
-                self._singletons = _singleton_rows(self.space.n, self._rule)
+                if self._singletons is None:
+                    self._singletons = _singleton_rows(self.space.n, self._rule)
                 self.eval_count = size * (size + 1) // 2
         return self._singletons
 
@@ -384,9 +387,13 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
                 return True
         return False
 
-    return ProximityRelation(
+    prox = ProximityRelation(
         space, "point_relation", rule, {"relation": relation}, point_generated=_always
     )
+    # The rows the rule would be read for; the relation still settles on
+    # them at its first `near`.
+    prox._singletons = rows
+    return prox
 
 
 def table_proximity(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxitop import build_topology
-from proxitop.cli import main
+from proxitop.cli import _build_parser, main
 from proxitop.modelfile import parse_file
 from proxitop.proximity import ProximityRelation
 from reference import raw_strongly_far, rule_near, subbase_neighbourhoods
@@ -465,6 +465,56 @@ class TestSearch:
             "search", "--target", "sf-not-hat", "--max-n", "11"
         )
         assert code == 1
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may leak into the next."""
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.fixture
+    def table4(self, tmp_path):
+        path = tmp_path / "table4.yaml"
+        path.write_text("points: 4\ntopology: discrete\nproximity: {kind: table, near: []}\n")
+        return str(path)
+
+    def assert_later_call_unaffected(self, first, first_code, then):
+        _build_parser()
+        assert run_cli(*first)[0] == first_code
+        reused = run_cli(*then)
+        _build_parser.cache_clear()
+        fresh = run_cli(*then)
+        assert reused[:2] == fresh[:2]
+        return reused
+
+    def test_cap_flag_does_not_stick(self, table4):
+        code, out, _ = self.assert_later_call_unaffected(
+            ("validate", table4, "--cap-n", "3"), 3, ("validate", table4, "--no-timestamp")
+        )
+        assert code == 0 and "exhaustive: yes" in out
+
+    def test_usage_error_does_not_stick(self, table4):
+        compare = (
+            "compare", str(MODELS / "discrete_overlap.yaml"),
+            "--left", "far_miss", "--right", "vietoris", "--no-timestamp",
+        )
+        code, _, _ = self.assert_later_call_unaffected(
+            ("validate", table4, "--no-such-flag"), 1, compare
+        )
+        assert code == 0
+
+    def test_out_file_does_not_stick(self, tmp_path):
+        search = (
+            "search", "--target", "basic-not-lodato", "--max-n", "3", "--json", "--no-timestamp",
+        )
+        out_path = tmp_path / "witness.yaml"
+        code, out, _ = self.assert_later_call_unaffected(
+            search + ("--out", str(out_path)), 0, search
+        )
+        assert code == 0 and out_path.exists()
+        doc = json.loads(out)
+        assert doc["status"] == "witness-found" and "witness_file" not in doc
 
 
 class TestDeterminism:

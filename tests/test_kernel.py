@@ -25,8 +25,8 @@ from proxitop import (
     point_generated_proximity,
     table_proximity,
 )
-from proxitop.proximity import AXIOM_NAMES
-from proxitop.search import _pair_order, _random_topology
+from proxitop.proximity import AXIOM_NAMES, _singleton_rows
+from proxitop.search import _pair_order, _random_topology, enumerate_point_relations
 from proxitop.spaces import PointSet, all_masks, validate_topology
 from proxitop.strong import derived_near_from_sf
 from reference import axiom_witnesses, rule_near, topology_witnesses
@@ -224,6 +224,21 @@ class TestMatrix:
         prox.near(3, 6)
         check_axioms(prox)
         assert len(calls) == 3 and asked == [1]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_point_relation_settles_on_its_stored_rows(self, n):
+        space = GroundSpace.discrete(n)
+        size = 1 << n
+        for relation in enumerate_point_relations(n):
+            prox = point_generated_proximity(space, relation)
+            rule, calls = prox._rule, []
+            prox._rule = lambda a, b: calls.append((a, b)) or rule(a, b)
+            assert prox.eval_count == 0
+            prox.near(1, size - 1)
+            assert calls == [] and prox._nbhd is not None
+            assert prox.eval_count == size * (size + 1) // 2
+            assert prox._point_rows() == _singleton_rows(n, rule)
+            assert all(prox.near(a, b) == rule(a, b) for a in range(size) for b in range(a, size))
 
     def test_point_generation_is_asked_once(self):
         asked = []

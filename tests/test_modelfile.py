@@ -1,12 +1,16 @@
 """Model file parsing, validation diagnostics and canonical round-trips."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from proxitop import InvalidModelError, all_masks, parse, serialize
-from proxitop.modelfile import model_digest, parse_file
+from proxitop.modelfile import Model, _emit_inline_list, model_digest, parse_file
+from proxitop.proximity import table_proximity
+from proxitop.search import _table_models
+from proxitop.spaces import GroundSpace, PointSet
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -188,3 +192,52 @@ class TestTableFiles:
         again = parse(serialize(model))
         assert again.proximity.near(0b01, 0b10)
         assert again.proximity.far(0b01, 0b01)
+
+
+def per_pair_table_text(model):
+    """A table model's file text, formatting both subsets anew for every near pair."""
+    space = model.space
+    names = space.points.names
+    lines = [f"points: {_emit_inline_list(space.points.labels)}"]
+    if space.opens == tuple(all_masks(space.n)):
+        lines.append("topology: discrete")
+    else:
+        lines.append("topology:")
+        lines += [f"  - {_emit_inline_list(names(o))}" for o in space.opens]
+    lines += ["proximity:", "  kind: table"]
+    pairs = sorted(model.proximity.params["near_pairs"])
+    if pairs:
+        lines.append("  near:")
+        for a, b in pairs:
+            lines.append(f"    - [{_emit_inline_list(names(a))}, {_emit_inline_list(names(b))}]")
+    else:
+        lines.append("  near: []")
+    if model.subsets:
+        lines.append("subsets:")
+        for name in sorted(model.subsets):
+            lines.append(f"  {name}: {_emit_inline_list(names(model.subsets[name]))}")
+    return "\n".join(lines) + "\n"
+
+
+def five_point_table():
+    space = GroundSpace(PointSet(5), (0, 0b1, 0b11, 0b111, 0b1111, 0b11111))
+    pairs = [(a, b) for a in range(32) for b in range(a, 32)]
+    near = random.Random(5).sample(pairs, 467)
+    subsets = {"A": 0b1, "B": 0b10110, "C": 0b11111, "E": 0}
+    return Model(space, table_proximity(space, near), subsets=subsets)
+
+
+class TestTableSerialization:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_small_table(self, n):
+        for _, model in _table_models(n):
+            text = serialize(model)
+            assert text == per_pair_table_text(model)
+            assert serialize(parse(text)) == text
+
+    def test_five_point_table(self):
+        model = five_point_table()
+        assert len(model.proximity.params["near_pairs"]) >= 400
+        text = serialize(model)
+        assert text == per_pair_table_text(model)
+        assert serialize(parse(text)) == text
