@@ -1,7 +1,8 @@
 """Hit-and-miss topologies on the hyperspace of nonempty closed sets.
 
 CL(X) is enumerated once; a hyperspace topology is a subbase of
-hyperpoint families (hit sets plus one of several miss halves). Each
+hyperpoint families (hit sets plus one of several miss halves), each an
+int with bit i set when the i-th hyperpoint belongs to it. Each
 hyperpoint's minimal neighbourhood, the intersection of the subbase
 members through it, fixes the topology, and the distinct ones form its
 smallest base. Refinement compares minimal neighbourhoods pointwise and
@@ -30,7 +31,7 @@ print("CL(X):", [space.format(e) for e in cl])
 
 
 def show(name, fam):
-    members = [space.format(cl[i]) for i in range(len(cl)) if fam.mask >> i & 1]
+    members = [space.format(cl[i]) for i in range(len(cl)) if fam >> i & 1]
     print(f"  {name}: {members}")
 
 

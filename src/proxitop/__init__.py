@@ -16,12 +16,10 @@ from .errors import (
     ToolkitError,
 )
 from .hyperspace import (
-    HyperFamily,
     HyperTopologyBase,
     build_topology,
     compare,
     check_inclusion_containment,
-    check_miss_half_inclusions,
     enumerate_cl,
     far_miss_set,
     hit_set,

@@ -1,20 +1,21 @@
 """Hyperspace CL(X) and the hit / miss / far-miss subbase machinery.
 
 CL(X) is the set of nonempty closed subsets, enumerated in ascending
-mask order; a family of hyperpoints is then itself a bitmask with one
-bit per hyperpoint. The space caches, per mask, the family of the
-hyperpoints meeting it, so hit and miss families, and the far-miss and
-sf-miss families of a point-generated relation, are one lookup each. A
-topology on CL(X) is represented by its subbase alone. On a finite space
-every hyperpoint p has a minimal neighbourhood, the intersection of the
-subbase members through p, and these are the smallest base of the
-topology: an open set is exactly a union of them. Refinement is
-therefore decided pointwise without enumerating a base: left refines
-right iff each hyperpoint's minimal left neighbourhood lies inside its
-minimal right one. On a topology those neighbourhoods have a closed form
-(`_closed_form_neighbourhoods`) for every kind but hit_and_miss and the
-miss halves of a relation with no neighbourhood table, which walk the
-subbase; comparing the miss halves of a basic relation builds neither.
+mask order; a family of hyperpoints is then a plain int, one bit per
+hyperpoint. The space caches, per mask, the family of the hyperpoints
+meeting it, so hit and miss families, and the far-miss and sf-miss
+families of a point-generated relation, are one lookup each. A topology
+on CL(X) is represented by its subbase alone, its distinct family masks
+in ascending order. On a finite space every hyperpoint p has a minimal
+neighbourhood, the intersection of the subbase members through p, and
+these are the smallest base of the topology: an open set is exactly a
+union of them. Refinement is therefore decided pointwise without
+enumerating a base: left refines right iff each hyperpoint's minimal
+left neighbourhood lies inside its minimal right one. On a topology
+those neighbourhoods have a closed form (`_closed_form_neighbourhoods`)
+for every kind but hit_and_miss and the miss halves of a relation with
+no neighbourhood table, which walk the subbase; comparing the miss
+halves of a basic relation builds neither.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from .proximity import (
     CompactnessIdeal,
     ProximityRelation,
     _singleton_rows,
-    check_axioms,
-    is_compatible,
 )
 from .spaces import GroundSpace, bits_of, union_table
+from .strong import LodatoSweepReport, _lodato_sweep_skipped
 
 
 def enumerate_cl(space: GroundSpace, *, cap: int = DEFAULT_HYPER_CAP) -> tuple[int, ...]:
@@ -47,19 +47,6 @@ def enumerate_cl(space: GroundSpace, *, cap: int = DEFAULT_HYPER_CAP) -> tuple[i
     if len(cl) > cap:
         raise CapExceededError("enumerate_cl", len(cl), cap)
     return cl
-
-
-@dataclass(frozen=True)
-class HyperFamily:
-    """A set of hyperpoints, as a bitmask over the enumerated CL(X).
-
-    `provenance` records which generators produced it, as (tag, parameter
-    mask) pairs; families that coincide as masks are merged and keep
-    every tag.
-    """
-
-    mask: int
-    provenance: tuple[tuple[str, int], ...] = ()
 
 
 def _require_open(space: GroundSpace, mask: int, what: str) -> None:
@@ -72,26 +59,26 @@ def _missing(space: GroundSpace, m: int) -> int:
     return (1 << len(space.nonempty_closed)) - 1 ^ space._hyperpoints_meeting[m]
 
 
-def hit_set(space: GroundSpace, v: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
+def hit_set(space: GroundSpace, v: int, *, cap: int = DEFAULT_HYPER_CAP) -> int:
     """{ E in CL(X) : E meets V }, for open V; `cap` bounds |CL(X)|."""
     _require_open(space, v, "hit parameter")
     enumerate_cl(space, cap=cap)
-    return HyperFamily(space._hyperpoints_meeting[v], (("hit", v),))
+    return space._hyperpoints_meeting[v]
 
 
-def miss_set(space: GroundSpace, w: int, *, cap: int = DEFAULT_HYPER_CAP) -> HyperFamily:
+def miss_set(space: GroundSpace, w: int, *, cap: int = DEFAULT_HYPER_CAP) -> int:
     """{ E in CL(X) : E inside W }, for open W; `cap` bounds |CL(X)|.
 
     E lies inside W iff it misses X\\W.
     """
     _require_open(space, w, "miss parameter")
     enumerate_cl(space, cap=cap)
-    return HyperFamily(_missing(space, space.complement(w)), (("miss", w),))
+    return _missing(space, space.complement(w))
 
 
 def far_miss_set(
     prox: ProximityRelation, a: int, *, cap: int = DEFAULT_HYPER_CAP
-) -> HyperFamily:
+) -> int:
     """{ E in CL(X) : E far from X\\A }, for open A; `cap` bounds |CL(X)|.
 
     With A = X the complement is empty and every hyperpoint is included,
@@ -107,20 +94,20 @@ def far_miss_set(
     comp = space.complement(a)
     nbhd = prox._neighbourhoods()
     if nbhd is not None:
-        return HyperFamily(_missing(space, nbhd[comp]), (("far-miss", a),))
+        return _missing(space, nbhd[comp])
     mask = 0
     for idx, e in enumerate(cl):
         if comp == 0 or not prox.near(e, comp):
             mask |= 1 << idx
-    return HyperFamily(mask, (("far-miss", a),))
+    return mask
 
 
 def sf_miss_set(
-    prox: ProximityRelation, a: int, *, hyper_cap: int = DEFAULT_HYPER_CAP
-) -> HyperFamily:
+    prox: ProximityRelation, a: int, *, cap: int = DEFAULT_HYPER_CAP
+) -> int:
     """{ E in CL(X) : E strongly far from X\\A }, for open A.
 
-    `hyper_cap` bounds |CL(X)|. With B = X\\A, a point-generated relation
+    `cap` bounds |CL(X)|. With B = X\\A, a point-generated relation
     makes E strongly far from B iff N(E) misses N(B), that is iff E misses
     N(N(B)): the far-miss family of the squared relation R∘R, read off the
     neighbourhood table. Otherwise E is strongly far from B iff it is far
@@ -130,11 +117,11 @@ def sf_miss_set(
     """
     space = prox.space
     _require_open(space, a, "strongly-far-miss parameter")
-    cl = enumerate_cl(space, cap=hyper_cap)
+    cl = enumerate_cl(space, cap=cap)
     comp = space.complement(a)
     nbhd = prox._neighbourhoods()
     if nbhd is not None:
-        return HyperFamily(_missing(space, nbhd[nbhd[comp]]), (("sf-miss", a),))
+        return _missing(space, nbhd[nbhd[comp]])
     if space.n > DEFAULT_EXHAUSTIVE_CAP:
         raise CapExceededError("sf_miss_set", space.n, DEFAULT_EXHAUSTIVE_CAP)
     rows = prox.matrix()
@@ -145,23 +132,27 @@ def sf_miss_set(
     for idx, e in enumerate(cl):
         if comp == 0 or not rows[e] >> comp & 1 and sep & ~rows[e]:
             mask |= 1 << idx
-    return HyperFamily(mask, (("sf-miss", a),))
+    return mask
 
 
 @dataclass(frozen=True)
 class HyperTopologyBase:
     """A subbase on CL(X) and the topology it generates.
 
-    `cl` is the enumerated hyperspace the family masks refer to; the
-    subbase is ascending and deduped, and the topology is read off its
+    The subbase is its distinct family masks, ascending, each over `cl`,
+    the space's nonempty closed sets. The topology is read off its
     minimal neighbourhoods, given as `closed_form` when known without it.
     """
 
     space: GroundSpace
-    cl: tuple[int, ...]
     kind: str
-    subbase: tuple[HyperFamily, ...]
+    subbase: tuple[int, ...]
     closed_form: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+
+    @property
+    def cl(self) -> tuple[int, ...]:
+        """The hyperpoints the family masks refer to, ascending."""
+        return self.space.nonempty_closed
 
     @property
     def full_family(self) -> int:
@@ -178,12 +169,12 @@ class HyperTopologyBase:
             return self.closed_form
         mins = [self.full_family] * len(self.cl)
         for fam in self.subbase:
-            rest = fam.mask
+            rest = fam
             while rest:
                 low = rest & -rest
                 idx = low.bit_length() - 1
                 rest ^= low
-                mins[idx] &= fam.mask
+                mins[idx] &= fam
         return tuple(mins)
 
     @property
@@ -222,17 +213,6 @@ def _closed_form_neighbourhoods(
     return tuple(mins)
 
 
-def _dedup_subbase(families: list[HyperFamily]) -> tuple[HyperFamily, ...]:
-    merged: dict[int, list[tuple[str, int]]] = {}
-    order: list[int] = []
-    for fam in families:
-        if fam.mask not in merged:
-            merged[fam.mask] = []
-            order.append(fam.mask)
-        merged[fam.mask].extend(fam.provenance)
-    return tuple(HyperFamily(m, tuple(merged[m])) for m in sorted(order))
-
-
 def build_topology(
     space: GroundSpace,
     kind: str,
@@ -263,8 +243,8 @@ def build_topology(
     elif kind not in TOPOLOGY_KINDS:
         raise ToolkitError(f"unknown topology kind {kind!r}")
 
-    cl = enumerate_cl(space, cap=hyper_cap)
-    families: list[HyperFamily] = []
+    enumerate_cl(space, cap=hyper_cap)
+    families: list[int] = []
     if include_hits:
         families.extend(hit_set(space, v, cap=hyper_cap) for v in space.opens)
 
@@ -278,7 +258,7 @@ def build_topology(
         if miss_kind == "far_miss":
             families.extend(far_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
         else:
-            families.extend(sf_miss_set(prox, a, hyper_cap=hyper_cap) for a in space.opens)
+            families.extend(sf_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
             if nbhd is not None:  # sf-miss is the far-miss half of N∘N
                 nbhd = [nbhd[m] for m in nbhd]
     else:
@@ -302,7 +282,7 @@ def build_topology(
 
     closed = nbhd is not None and space.topology_report.ok
     mins = _closed_form_neighbourhoods(space, nbhd, top, include_hits) if closed else None
-    return HyperTopologyBase(space, cl, kind, _dedup_subbase(families), mins)
+    return HyperTopologyBase(space, kind, tuple(sorted(set(families))), mins)
 
 
 @dataclass(frozen=True)
@@ -389,85 +369,29 @@ def _compare_miss_halves(prox: ProximityRelation) -> ComparisonResult:
     return _comparison(_refines_pointwise(far, sf), _refines_pointwise(sf, far))
 
 
-# -- inclusion laws relating the miss halves ---------------------------
-
-
-@dataclass(frozen=True)
-class InclusionContainmentReport:
-    """Sweep of: far-miss(U) inside sf-miss(W) forces U inside W.
-
-    Equivalently, with B = X\\U and C = X\\W closed: if every closed set
-    far from B is strongly far from C, then C is contained in B. Holds
-    for compatible Lodato relations; the check is skipped otherwise.
-    """
-
-    applicable: bool
-    reason: str
-    pairs_checked: int = 0
-    violations: tuple[tuple[int, int], ...] = ()  # (U, W) open pairs
-
-    @property
-    def ok(self) -> bool:
-        return self.applicable and not self.violations
+# -- the inclusion law relating the miss halves -----------------------
 
 
 def check_inclusion_containment(
     space: GroundSpace, prox: ProximityRelation
-) -> InclusionContainmentReport:
-    if prox.space is not space and prox.space != space:
-        return InclusionContainmentReport(False, "relation lives on a different space")
-    if space.n > DEFAULT_EXHAUSTIVE_CAP:
-        raise CapExceededError("check_inclusion_containment", space.n, DEFAULT_EXHAUSTIVE_CAP)
-    report = check_axioms(prox)
-    if not report.is_lodato:
-        return InclusionContainmentReport(
-            False, f"relation is {report.classification}, not lodato"
-        )
-    if not is_compatible(prox):
-        return InclusionContainmentReport(
-            False, "relation is not compatible with the topology"
-        )
-    far_families = {a: far_miss_set(prox, a).mask for a in space.opens}
-    sf_families = {a: sf_miss_set(prox, a).mask for a in space.opens}
-    violations = []
-    checked = 0
-    for u in space.opens:
-        for w in space.opens:
-            checked += 1
-            if far_families[u] & ~sf_families[w] == 0 and u & ~w:
-                violations.append((u, w))
-    return InclusionContainmentReport(True, "checked", checked, tuple(violations))
+) -> LodatoSweepReport:
+    """Sweep of: far-miss(U) inside sf-miss(W) forces U inside W.
 
-
-@dataclass(frozen=True)
-class MissHalvesReport:
-    """Per-model record of: sf-miss(H) inside far-miss(E) iff H inside E.
-
-    The backward direction holds for every basic relation; the forward
-    direction can fail on small models, and failures are reported as
-    scope notes rather than errors.
+    Equivalently, with B = X\\U and C = X\\W closed: if every closed set
+    far from B is strongly far from C, then C is contained in B. Holds
+    for compatible Lodato relations; the check is skipped otherwise. The
+    violations are (U, W) open pairs.
     """
-
-    backward_violations: tuple[tuple[int, int], ...]  # should stay empty
-    forward_failures: tuple[tuple[int, int], ...]  # informational
-    pairs_checked: int
-
-
-def check_miss_half_inclusions(prox: ProximityRelation) -> MissHalvesReport:
-    space = prox.space
-    if space.n > DEFAULT_EXHAUSTIVE_CAP:
-        raise CapExceededError("check_miss_half_inclusions", space.n, DEFAULT_EXHAUSTIVE_CAP)
-    far_families = {a: far_miss_set(prox, a).mask for a in space.opens}
-    sf_families = {a: sf_miss_set(prox, a).mask for a in space.opens}
-    backward = []
-    forward = []
-    checked = 0
-    for h in space.opens:
-        for e in space.opens:
-            checked += 1
-            included = sf_families[h] & ~far_families[e] == 0
-            if h & ~e == 0 and not included:
-                backward.append((h, e))
-            if included and h & ~e:
-                forward.append((h, e))
-    return MissHalvesReport(tuple(backward), tuple(forward), checked)
+    skipped = _lodato_sweep_skipped(space, prox, "check_inclusion_containment")
+    if skipped is not None:
+        return skipped
+    opens = space.opens
+    far = [far_miss_set(prox, u) for u in opens]
+    sf = [sf_miss_set(prox, w) for w in opens]
+    violations = tuple(
+        (u, w)
+        for u, far_u in zip(opens, far)
+        for w, sf_w in zip(opens, sf)
+        if far_u & ~sf_w == 0 and u & ~w
+    )
+    return LodatoSweepReport(True, "checked", len(opens) ** 2, violations)

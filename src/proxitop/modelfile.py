@@ -98,7 +98,7 @@ def _parse_points(doc: dict) -> tuple[str, ...]:
     if "points" not in doc:
         _fail("points", "required field is missing")
     raw = doc["points"]
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         if not 1 <= raw <= MAX_GROUND_POINTS:
             _fail("points", f"point count must be in 1..{MAX_GROUND_POINTS}, got {raw}")
         return PointSet(raw).labels
@@ -166,7 +166,7 @@ def _parse_metric(doc: dict, n: int) -> Optional[Metric]:
         if len(row) != n:
             _fail(f"metric.rows[{i}]", f"expected {n} entries, got {len(row)}")
         parsed.append([_parse_fraction(d, f"metric.rows[{i}][{j}]") for j, d in enumerate(row)])
-    semimetric = bool(raw.get("semimetric", False))
+    semimetric = _expect_type(raw.get("semimetric", False), bool, "metric.semimetric", "a boolean")
     try:
         return Metric.from_rows(parsed, semimetric=semimetric)
     except ToolkitError as exc:

@@ -548,7 +548,7 @@ def _run_step(model: Model, step: dict) -> bool:
         return compare(left, right).verdict == expect.get("verdict")
     if op == "inclusion_containment":
         u, w = mask("u"), mask("w")
-        inclusion = far_miss_set(prox, u).mask & ~sf_miss_set(prox, w).mask == 0
+        inclusion = far_miss_set(prox, u) & ~sf_miss_set(prox, w) == 0
         containment = u & ~w == 0
         return inclusion == bool(expect.get("inclusion", True)) and containment == bool(
             expect.get("containment", False)

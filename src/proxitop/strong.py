@@ -173,8 +173,11 @@ def _far_pairs(prox: ProximityRelation) -> Iterator[tuple[int, int, bool]]:
 
 
 @dataclass(frozen=True)
-class SfImpliesHatReport:
-    """Sweep of strongly_far => hat_strongly_far over nonempty pairs."""
+class LodatoSweepReport:
+    """A sweep over a compatible Lodato relation, or why it was skipped.
+
+    `violations` are the (a, b) mask pairs the sweep's law fails on.
+    """
 
     applicable: bool
     reason: str
@@ -186,7 +189,24 @@ class SfImpliesHatReport:
         return self.applicable and not self.violations
 
 
-def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> SfImpliesHatReport:
+def _lodato_sweep_skipped(
+    space: GroundSpace, prox: ProximityRelation, sweep: str
+) -> Optional[LodatoSweepReport]:
+    """The skipped report when `prox` is not a compatible Lodato relation on
+    `space`, else None; a space past DEFAULT_EXHAUSTIVE_CAP raises instead."""
+    if prox.space is not space and prox.space != space:
+        return LodatoSweepReport(False, "relation lives on a different space")
+    if space.n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError(sweep, space.n, DEFAULT_EXHAUSTIVE_CAP)
+    report = check_axioms(prox)
+    if not report.is_lodato:
+        return LodatoSweepReport(False, f"relation is {report.classification}, not lodato")
+    if not is_compatible(prox):
+        return LodatoSweepReport(False, "relation is not compatible with the topology")
+    return None
+
+
+def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> LodatoSweepReport:
     """Check that every strongly-far pair is hat-strongly-far.
 
     Precondition: the relation is Lodato and compatible with the space's
@@ -197,22 +217,15 @@ def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> SfImpli
     one (N(N(a)) = N(a)) makes all of a's far partners. The sweep is
     bounded by DEFAULT_EXHAUSTIVE_CAP.
     """
-    if prox.space is not space and prox.space != space:
-        return SfImpliesHatReport(False, "relation lives on a different space")
-    if space.n > DEFAULT_EXHAUSTIVE_CAP:
-        raise CapExceededError("check_sf_implies_hat", space.n, DEFAULT_EXHAUSTIVE_CAP)
-    report = check_axioms(prox)
-    if not report.is_lodato:
-        return SfImpliesHatReport(False, f"relation is {report.classification}, not lodato")
-    if not is_compatible(prox):
-        return SfImpliesHatReport(False, "relation is not compatible with the topology")
-
+    skipped = _lodato_sweep_skipped(space, prox, "check_sf_implies_hat")
+    if skipped is not None:
+        return skipped
     violations = tuple(
         (a, b)
         for a, b, strong in _far_pairs(prox)
         if strong and not hat_strongly_far(space, a, b).holds
     )
-    return SfImpliesHatReport(True, "checked", space.full_mask ** 2, violations)
+    return LodatoSweepReport(True, "checked", space.full_mask ** 2, violations)
 
 
 @dataclass(frozen=True)

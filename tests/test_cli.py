@@ -169,6 +169,24 @@ class TestRobustness:
         assert code == 2
         assert "points" in err
 
+    def test_boolean_point_count_exit_2(self, tmp_path):
+        path = tmp_path / "bool_points.yaml"
+        path.write_text("points: true\ntopology: discrete\nproximity: {kind: overlap}\n")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert "points: expected a list of names or an integer count, got bool" in err
+
+    def test_string_semimetric_exit_2(self, tmp_path):
+        path = tmp_path / "string_semimetric.yaml"
+        path.write_text(
+            "points: 3\n"
+            "metric: {rows: [[0, 1, 5], [1, 0, 1], [5, 1, 0]], semimetric: 'false'}\n"
+            "proximity: {kind: gap, epsilon: 1}\n"
+        )
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert "metric.semimetric: expected a boolean, got str" in err
+
     def test_non_utf8_file_exit_2(self, tmp_path):
         path = tmp_path / "latin1.yaml"
         path.write_bytes("points: [\xe9]\n".encode("latin-1"))
@@ -418,7 +436,7 @@ class TestCompare:
         assert doc["hyperpoints"] == 2047
         model = parse_file(str(path))
         walks = [
-            subbase_neighbourhoods([f.mask for f in topo.subbase], 2047)
+            subbase_neighbourhoods(topo.subbase, 2047)
             for topo in (build_topology(model.space, spec, prox=model.proximity)
                          for spec in (left, right))
         ]

@@ -19,7 +19,6 @@ from proxitop import (
     build_topology,
     check_axioms,
     check_inclusion_containment,
-    check_miss_half_inclusions,
     compare,
     enumerate_cl,
     far_miss_set,
@@ -50,7 +49,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def family_members(space, fam):
     cl = enumerate_cl(space)
-    return {cl[i] for i in range(len(cl)) if fam.mask >> i & 1}
+    return {cl[i] for i in range(len(cl)) if fam >> i & 1}
 
 
 @pytest.fixture
@@ -83,13 +82,13 @@ class TestEnumerateCL:
 class TestHitMiss:
     def test_hit_examples(self, discrete2):
         assert family_members(discrete2, hit_set(discrete2, 0b01)) == {0b01, 0b11}
-        assert hit_set(discrete2, 0).mask == 0
+        assert hit_set(discrete2, 0) == 0
         assert family_members(discrete2, hit_set(discrete2, 0b11)) == {0b01, 0b10, 0b11}
 
     def test_miss_examples(self, discrete2):
         assert family_members(discrete2, miss_set(discrete2, 0b01)) == {0b01}
         assert family_members(discrete2, miss_set(discrete2, 0b11)) == {0b01, 0b10, 0b11}
-        assert miss_set(GroundSpace.indiscrete(2), 0).mask == 0
+        assert miss_set(GroundSpace.indiscrete(2), 0) == 0
 
     def test_requires_open(self):
         space = GroundSpace.create(3, [0, 0b001, 0b011, 0b111])
@@ -100,7 +99,7 @@ class TestHitMiss:
 
     def test_raised_cap_reaches_enumeration(self):
         fam = hit_set(GroundSpace.discrete(13), 1, cap=10000)
-        assert bin(fam.mask).count("1") == 4096
+        assert bin(fam).count("1") == 4096
 
     def test_every_family_honours_its_cap(self, discrete3):
         prox = overlap_proximity(discrete3)
@@ -108,7 +107,7 @@ class TestHitMiss:
             lambda: hit_set(discrete3, 1, cap=6),
             lambda: miss_set(discrete3, 1, cap=6),
             lambda: far_miss_set(prox, 1, cap=6),
-            lambda: sf_miss_set(prox, 1, hyper_cap=6),
+            lambda: sf_miss_set(prox, 1, cap=6),
             lambda: build_topology(discrete3, "sf_miss", prox=prox, hyper_cap=6),
         ):
             with pytest.raises(CapExceededError) as info:
@@ -126,7 +125,7 @@ class TestFarMiss:
 
     def test_full_open_gives_everything(self, discrete3):
         prox = overlap_proximity(discrete3)
-        assert far_miss_set(prox, 0b111).mask == (1 << 7) - 1
+        assert far_miss_set(prox, 0b111) == (1 << 7) - 1
 
     def test_gap_excludes_close_sets(self, discrete3):
         prox = gap_proximity(discrete3, Metric.line(3), 1)
@@ -135,19 +134,19 @@ class TestFarMiss:
     def test_sf_miss_matches_far_miss_under_ef(self, discrete3):
         prox = overlap_proximity(discrete3)
         for a in discrete3.opens:
-            assert sf_miss_set(prox, a).mask == far_miss_set(prox, a).mask
+            assert sf_miss_set(prox, a) == far_miss_set(prox, a)
 
     def test_sf_miss_full_open_convention(self, discrete3):
         rel = PointRelation.from_pairs(3, [(0, 1), (1, 2)])
         prox = point_generated_proximity(discrete3, rel)
-        assert sf_miss_set(prox, 0b111).mask == (1 << 7) - 1
+        assert sf_miss_set(prox, 0b111) == (1 << 7) - 1
 
     def test_sf_subset_of_far_everywhere(self, discrete3):
         rel = PointRelation.from_pairs(3, [(0, 1), (1, 2)])
         prox = point_generated_proximity(discrete3, rel)
         for a in discrete3.opens:
-            sf = sf_miss_set(prox, a).mask
-            fm = far_miss_set(prox, a).mask
+            sf = sf_miss_set(prox, a)
+            fm = far_miss_set(prox, a)
             assert sf & ~fm == 0
 
     def test_far_miss_inside_miss_for_compatible_lodato(self):
@@ -155,7 +154,7 @@ class TestFarMiss:
         rel = PointRelation.from_pairs(3, [(0, 1)])
         prox = point_generated_proximity(space, rel)
         for a in space.opens:
-            assert far_miss_set(prox, a).mask & ~miss_set(space, a).mask == 0
+            assert far_miss_set(prox, a) & ~miss_set(space, a) == 0
 
     def test_monotone_in_parameter(self, discrete3):
         prox = overlap_proximity(discrete3)
@@ -164,10 +163,10 @@ class TestFarMiss:
             for w in opens:
                 if v & ~w:
                     continue
-                assert hit_set(discrete3, v).mask & ~hit_set(discrete3, w).mask == 0
-                assert miss_set(discrete3, v).mask & ~miss_set(discrete3, w).mask == 0
-                assert far_miss_set(prox, v).mask & ~far_miss_set(prox, w).mask == 0
-                assert sf_miss_set(prox, v).mask & ~sf_miss_set(prox, w).mask == 0
+                assert hit_set(discrete3, v) & ~hit_set(discrete3, w) == 0
+                assert miss_set(discrete3, v) & ~miss_set(discrete3, w) == 0
+                assert far_miss_set(prox, v) & ~far_miss_set(prox, w) == 0
+                assert sf_miss_set(prox, v) & ~sf_miss_set(prox, w) == 0
 
 
     def test_far_miss_off_the_table_stores_nothing_per_pair(self):
@@ -179,7 +178,7 @@ class TestFarMiss:
         space._hyperpoints_meeting  # the space's own cached table, built up front
         tracemalloc.start()
         try:
-            got = [far_miss_set(prox, a).mask for a in space.opens]
+            got = [far_miss_set(prox, a) for a in space.opens]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,30 +202,21 @@ class TestBuildTopology:
     def test_far_miss_overlap_equals_vietoris_on_discrete(self, discrete3):
         fm = build_topology(discrete3, "far_miss", prox=overlap_proximity(discrete3))
         viet = build_topology(discrete3, "vietoris")
-        assert {f.mask for f in fm.subbase} == {f.mask for f in viet.subbase}
+        assert fm.subbase == viet.subbase
         assert compare(fm, viet).verdict == "equal"
 
     def test_hit_and_miss_family(self, discrete3):
         topo = build_topology(discrete3, "hit_and_miss", family=(0, 0b001))
-        assert any(tag == "miss" for fam in topo.subbase for tag, _ in fam.provenance)
+        # the miss set of the open whose complement {p0} is in the family
+        assert miss_set(discrete3, 0b110) in topo.subbase
 
     def test_subbase_members_in_base(self, discrete3):
         # the base generates the topology: each subbase member is the
         # union of the base elements inside it
         topo = build_topology(discrete3, "vietoris")
         for fam in topo.subbase:
-            inside = [b for b in topo.base if b & ~fam.mask == 0]
-            assert fam.mask == functools.reduce(operator.or_, inside, 0)
-
-    def test_provenance_replays(self, discrete3):
-        prox = overlap_proximity(discrete3)
-        topo = build_topology(discrete3, "far_miss", prox=prox)
-        for fam in topo.subbase:
-            for tag, param in fam.provenance:
-                if tag == "hit":
-                    assert hit_set(discrete3, param).mask == fam.mask
-                elif tag == "far-miss":
-                    assert far_miss_set(prox, param).mask == fam.mask
+            inside = [b for b in topo.base if b & ~fam == 0]
+            assert fam == functools.reduce(operator.or_, inside, 0)
 
     def test_unknown_kind(self, discrete3):
         from proxitop import ToolkitError
@@ -236,7 +226,7 @@ class TestBuildTopology:
 
 
 def trivial_base(space):
-    return HyperTopologyBase(space, enumerate_cl(space), "custom", ())
+    return HyperTopologyBase(space, "custom", ())
 
 
 class TestRefinesCompare:
@@ -255,11 +245,8 @@ class TestRefinesCompare:
         assert result.verdict == "left-strictly-finer"
 
     def test_incomparable_pair(self, discrete2):
-        from proxitop import HyperFamily
-
-        cl = enumerate_cl(discrete2)
-        left = HyperTopologyBase(discrete2, cl, "custom", (HyperFamily(0b001),))
-        right = HyperTopologyBase(discrete2, cl, "custom", (HyperFamily(0b010),))
+        left = HyperTopologyBase(discrete2, "custom", (0b001,))
+        right = HyperTopologyBase(discrete2, "custom", (0b010,))
         assert compare(left, right).verdict == "incomparable"
 
     def test_transitive(self, discrete3):
@@ -289,8 +276,8 @@ def _reference_verdict(left, right):
     """Verdict and both witnesses from the enumerated finite-intersection bases."""
     count = len(left.cl)
     full = (1 << count) - 1
-    lmasks = [f.mask for f in left.subbase]
-    rmasks = [f.mask for f in right.subbase]
+    lmasks = list(left.subbase)
+    rmasks = list(right.subbase)
     lr = base_refines(lmasks, close_under_intersection(rmasks, full), count)
     rl = base_refines(rmasks, close_under_intersection(lmasks, full), count)
     verdict = {
@@ -306,8 +293,8 @@ def _assert_witness(result, finer, coarser):
     """A failed refinement's (g, p): p fails first, g holds p, minL(p) escapes g."""
     count = len(finer.cl)
     full = (1 << count) - 1
-    lmin = subbase_neighbourhoods([f.mask for f in finer.subbase], count)
-    right_base = close_under_intersection([f.mask for f in coarser.subbase], full)
+    lmin = subbase_neighbourhoods(list(finer.subbase), count)
+    right_base = close_under_intersection(list(coarser.subbase), full)
     failing = [
         p for p in range(count) if any(g >> p & 1 and lmin[p] & ~g for g in right_base)
     ]
@@ -357,7 +344,7 @@ class TestAgainstEnumeratedBase:
         # every reference base element is a union of minimal-base elements,
         # and each minimal-base element is a reference base element
         topo = build_topology(discrete3, "far_miss", prox=_path_proximity(discrete3))
-        ref = close_under_intersection([f.mask for f in topo.subbase], topo.full_family)
+        ref = close_under_intersection(list(topo.subbase), topo.full_family)
         assert set(topo.base) <= set(ref)
         for g in ref:
             inside = [b for b in topo.base if b & ~g == 0]
@@ -382,8 +369,8 @@ class TestHitMissAgainstReference:
     def assert_matches_reference(space):
         cl = enumerate_cl(space)
         for v in space.opens:
-            assert hit_set(space, v).mask == hit_mask(cl, v), v
-            assert miss_set(space, v).mask == miss_mask(cl, v), v
+            assert hit_set(space, v) == hit_mask(cl, v), v
+            assert miss_set(space, v) == miss_mask(cl, v), v
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_small_topology(self, n):
@@ -403,7 +390,7 @@ class TestFarMissAgainstReference:
         cl = enumerate_cl(space)
         near = rule_near(prox)
         for a in opens:
-            assert far_miss_set(prox, a).mask == far_miss_mask(near, cl, space.complement(a)), a
+            assert far_miss_set(prox, a) == far_miss_mask(near, cl, space.complement(a)), a
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_small_topology(self, n):
@@ -459,16 +446,3 @@ class TestInclusionContainment:
         assert not report.applicable
         assert "compatible" in report.reason
 
-
-class TestMissHalfInclusions:
-    def test_backward_clean_on_alexandroff(self):
-        space = GroundSpace.discrete(4)
-        prox = alexandroff_proximity(space, CompactnessIdeal.principal(space, 0b0011))
-        report = check_miss_half_inclusions(prox)
-        assert report.backward_violations == ()
-        # forward failures are scope notes, not errors
-        assert isinstance(report.forward_failures, tuple)
-
-    def test_counts_all_open_pairs(self, discrete3):
-        report = check_miss_half_inclusions(overlap_proximity(discrete3))
-        assert report.pairs_checked == len(discrete3.opens) ** 2

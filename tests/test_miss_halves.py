@@ -8,7 +8,8 @@ spec's tuple is compared with `reference.subbase_neighbourhoods` of its
 own subbase, and `_compare_miss_halves`, which builds no subbase, with
 `compare` (verdict and witnesses), over every small topology, point
 relation and principal ideal, every basic search candidate up to four
-points, and random draws up to six points. The incomparable pairs of
+points, and random draws up to six points. Up to three points each
+subbase is also rebuilt from the public family functions. The incomparable pairs of
 four-point models are pinned, and the `incomparable-topologies` search is
 shown to build no hyperspace topology.
 """
@@ -27,7 +28,11 @@ from proxitop import (
     compare,
     enumerate_point_relations,
     enumerate_topologies,
+    far_miss_set,
+    hit_set,
+    miss_set,
     point_generated_proximity,
+    sf_miss_set,
     table_proximity,
 )
 from proxitop.hyperspace import MISS_ONLY_KINDS, TOPOLOGY_KINDS, _compare_miss_halves
@@ -42,7 +47,7 @@ SPECS = TOPOLOGY_KINDS + MISS_ONLY_KINDS
 def assert_matches_walk(topo, closed_form):
     """The minimal neighbourhoods are the walk of the topology's own subbase,
     and came from the closed form exactly when `closed_form` says so."""
-    walk = subbase_neighbourhoods([f.mask for f in topo.subbase], len(topo.cl))
+    walk = subbase_neighbourhoods(topo.subbase, len(topo.cl))
     assert topo.minimal_neighbourhoods == tuple(walk), (topo.space.opens, topo.kind)
     assert (topo.closed_form is not None) == closed_form, (topo.space.opens, topo.kind)
 
@@ -62,6 +67,29 @@ def assert_matches_build(space, prox, ideal=None):
         assert_matches_walk(built[kind], closed_form)
     halves = compare(built["far_miss_only"], built["sf_miss_only"])
     assert _compare_miss_halves(prox) == halves, (space.opens, prox)
+    return built
+
+
+def assert_subbase_from_families(space, prox, ideal, built):
+    """Each built subbase is the sorted distinct masks of the family
+    functions over the opens that feed it, and each family is an int."""
+    members = set(ideal.sorted_members())
+    misses = {
+        "vietoris": [miss_set(space, w) for w in space.opens],
+        "fell": [miss_set(space, w) for w in space.opens if space.complement(w) in members],
+        "far_miss": [far_miss_set(prox, a) for a in space.opens],
+        "sf_miss": [sf_miss_set(prox, a) for a in space.opens],
+    }
+    misses["hit_and_miss"] = misses["fell"]
+    hits = [hit_set(space, v) for v in space.opens]
+    for fam in hits + [m for half in misses.values() for m in half]:
+        assert type(fam) is int, fam
+    for kind, topo in built.items():
+        if kind in MISS_ONLY_KINDS:
+            want = misses[kind[: -len("_only")]]
+        else:
+            want = hits + misses[kind]
+        assert topo.subbase == tuple(sorted(set(want))), (space.opens, prox, kind)
 
 
 def principal_ideals(space):
@@ -81,7 +109,8 @@ class TestAgainstBuiltTopologies:
         for n in (1, 2, 3):
             for space, prox in point_relation_models(n, False):
                 for ideal in principal_ideals(space):
-                    assert_matches_build(space, prox, ideal)
+                    built = assert_matches_build(space, prox, ideal)
+                    assert_subbase_from_families(space, prox, ideal, built)
                     count += 1
         # Per n: the closed sets summed over the labelled topologies, times
         # the point relations.

@@ -136,6 +136,33 @@ class TestDiagnostics:
         )
         assert "proximity.epsilon" in msg
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_point_count_rejected(self, value):
+        # YAML booleans are ints to Python; neither is a point count.
+        with pytest.raises(InvalidModelError) as info:
+            parse(f"points: {value}\ntopology: discrete\nproximity: {{kind: overlap}}\n")
+        assert info.value.where == "points"
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "[]"])
+    def test_semimetric_must_be_a_boolean(self, value):
+        # A string "false" would otherwise be truthy and skip the triangle check.
+        with pytest.raises(InvalidModelError) as info:
+            parse(
+                "points: 3\n"
+                f"metric: {{rows: [[0, 1, 5], [1, 0, 1], [5, 1, 0]], semimetric: {value}}}\n"
+                "proximity: {kind: gap, epsilon: 1}\n"
+            )
+        assert info.value.where == "metric.semimetric"
+
+    def test_semimetric_boolean_sets_the_triangle_check(self):
+        rows = "[[0, 1, 5], [1, 0, 1], [5, 1, 0]]"
+        text = "points: 3\nmetric: {{rows: {}{}}}\nproximity: {{kind: gap, epsilon: 1}}\n"
+        for flag in ("", ", semimetric: false"):
+            with pytest.raises(InvalidModelError) as info:
+                parse(text.format(rows, flag))
+            assert info.value.where == "metric"
+        assert parse(text.format(rows, ", semimetric: true")).metric.semimetric
+
     def test_gap_fraction_epsilon(self):
         model = parse(
             "points: [a, b]\nmetric: {rows: [[0, '1/2'], ['1/2', 0]]}\n"

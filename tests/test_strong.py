@@ -13,7 +13,6 @@ from proxitop import (
     check_axioms,
     check_far_vs_sf,
     check_inclusion_containment,
-    check_miss_half_inclusions,
     check_sf_implies_hat,
     derived_near_from_sf,
     gap_proximity,
@@ -272,7 +271,6 @@ class TestSweepCaps:
             ("check_far_vs_sf", lambda space, prox: check_far_vs_sf(prox)),
             ("check_sf_implies_hat", check_sf_implies_hat),
             ("check_inclusion_containment", check_inclusion_containment),
-            ("check_miss_half_inclusions", lambda space, prox: check_miss_half_inclusions(prox)),
         ],
     )
     def test_eleven_points_exceed_the_cap(self, name, sweep):

@@ -122,7 +122,7 @@ def assert_strong_layer_matches_reference(prox):
     cl = enumerate_cl(space)
     for a in space.opens:
         want = sf_miss_mask(near, n, cl, space.complement(a))
-        assert sf_miss_set(prox, a).mask == want, (prox, a)
+        assert sf_miss_set(prox, a) == want, (prox, a)
 
     sweep = check_sf_implies_hat(space, prox)
     if sweep.applicable:
@@ -227,4 +227,4 @@ def test_sf_miss_is_far_miss_of_the_squared_relation(n):
             prox = point_generated_proximity(space, rel)
             squared = point_generated_proximity(space, _squared(rel))
             for a in space.opens:
-                assert sf_miss_set(prox, a).mask == far_miss_set(squared, a).mask, (rel, a)
+                assert sf_miss_set(prox, a) == far_miss_set(squared, a), (rel, a)
