@@ -293,6 +293,10 @@ def _parse_subsets(doc: dict, space: GroundSpace) -> dict[str, int]:
     return out
 
 
+# Replay expectations compared with a verdict; a string "0" is no verdict.
+BOOLEAN_EXPECTATIONS = ("value", "holds", "inclusion", "containment")
+
+
 def _parse_replay(doc: dict) -> tuple[dict, ...]:
     if "replay" not in doc:
         return ()
@@ -305,6 +309,9 @@ def _parse_replay(doc: dict) -> tuple[dict, ...]:
         op = _expect_type(step["op"], str, f"replay[{i}].op", "an operation name")
         args = _expect_type(step.get("args", {}), dict, f"replay[{i}].args", "a mapping")
         expect = _expect_type(step.get("expect", {}), dict, f"replay[{i}].expect", "a mapping")
+        for key in BOOLEAN_EXPECTATIONS:
+            if key in expect:
+                _expect_type(expect[key], bool, f"replay[{i}].expect.{key}", "a boolean")
         steps.append({"op": op, "args": dict(args), "expect": dict(expect)})
     return tuple(steps)
 
@@ -353,10 +360,17 @@ def _emit_scalar(value) -> str:
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else f"'{value}'"
     if isinstance(value, str):
-        if _NAME_RE.match(value):
+        if _NAME_RE.match(value) and _reads_back(value):
             return value
         return "'" + value.replace("'", "''") + "'"
     raise ToolkitError(f"cannot serialize scalar {value!r}")
+
+
+@functools.cache
+def _reads_back(token: str) -> bool:
+    """Does the bare token load as this same string? YAML 1.1 reads names
+    such as `no`, `On` or `NULL` as booleans or null; those are quoted."""
+    return yaml.load(token, Loader=_YAML_LOADER) == token
 
 
 def _emit_inline_list(values) -> str:
@@ -417,7 +431,7 @@ def serialize(model: Model) -> str:
         if pairs:
             lines.append("  relation:")
             for i, j in pairs:
-                lines.append(f"    - [{names[i]}, {names[j]}]")
+                lines.append(f"    - {_emit_inline_list((names[i], names[j]))}")
         else:
             lines.append("  relation: []")
     elif prox.kind != "overlap":
@@ -426,7 +440,7 @@ def serialize(model: Model) -> str:
     if model.subsets:
         lines.append("subsets:")
         for name in sorted(model.subsets):
-            lines.append(f"  {name}: {subset(model.subsets[name])}")
+            lines.append(f"  {_emit_scalar(name)}: {subset(model.subsets[name])}")
 
     if model.replay:
         lines.append("replay:")

@@ -445,8 +445,20 @@ class CompatibilityResult:
 
 
 def is_compatible(prox: ProximityRelation) -> CompatibilityResult:
-    """Does the induced closure agree with the space's topology on every subset?"""
+    """Does the induced closure agree with the space's topology on every subset?
+
+    On a topology, a relation with point rows R has two additive closures,
+    and the induced one sends {i} to R(i). So they agree iff R(i) = cl({i})
+    for every i, and the first mask where they differ is {i} for the lowest
+    such i. Any other relation is compared mask by mask.
+    """
     space = prox.space
+    rows = prox._point_rows() if space.topology_report.ok else None
+    if rows is not None:
+        for i, row in enumerate(rows):
+            if row != closure(space, 1 << i):
+                return CompatibilityResult(False, 1 << i)
+        return CompatibilityResult(True)
     for a in all_masks(space.n):
         if induced_closure(prox, a) != closure(space, a):
             return CompatibilityResult(False, a)

@@ -533,15 +533,13 @@ def _run_step(model: Model, step: dict) -> bool:
         rep = check_axioms(prox)
         return rep.classification == expect.get("classification", rep.classification)
     if op == "far":
-        return prox.far(mask("a"), mask("b")) == bool(expect.get("value", True))
+        return prox.far(mask("a"), mask("b")) == expect.get("value", True)
     if op == "near":
-        return prox.near(mask("a"), mask("b")) == bool(expect.get("value", True))
+        return prox.near(mask("a"), mask("b")) == expect.get("value", True)
     if op == "strongly_far":
-        return strongly_far(prox, mask("a"), mask("b")).holds == bool(expect.get("holds", True))
+        return strongly_far(prox, mask("a"), mask("b")).holds == expect.get("holds", True)
     if op == "hat_strongly_far":
-        return hat_strongly_far(space, mask("a"), mask("b")).holds == bool(
-            expect.get("holds", True)
-        )
+        return hat_strongly_far(space, mask("a"), mask("b")).holds == expect.get("holds", True)
     if op == "compare_topologies":
         left = build_topology(space, str(args["left"]), prox=prox, ideal=model.ideal)
         right = build_topology(space, str(args["right"]), prox=prox, ideal=model.ideal)
@@ -550,8 +548,8 @@ def _run_step(model: Model, step: dict) -> bool:
         u, w = mask("u"), mask("w")
         inclusion = far_miss_set(prox, u) & ~sf_miss_set(prox, w) == 0
         containment = u & ~w == 0
-        return inclusion == bool(expect.get("inclusion", True)) and containment == bool(
-            expect.get("containment", False)
+        return (inclusion, containment) == (
+            expect.get("inclusion", True), expect.get("containment", False)
         )
     raise ToolkitError(f"malformed witness: unknown replay op {op!r}")
 

@@ -3,9 +3,12 @@
 A ground set of ``n`` points is indexed ``0..n-1`` and every subset is a
 plain ``int`` whose bit ``i`` says whether point ``i`` is in. The space
 stores its topology as the explicit family of open masks, and reads
-closure and interior off one dense table built from that family: entry m
-is the meet of the closed supersets of m. All emitted families are in
-ascending mask order so reports are byte-stable.
+closure and interior off one dense table: entry m is the meet of the
+closed supersets of m. A finite topology is fixed by each point's
+minimal open neighbourhood U_p, so on a topology that table is the union
+table of the n point closures; only a family that is not a topology is
+swept. All emitted families are in ascending mask order so reports are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidTopologyError, MAX_GROUND_POINTS, ToolkitError
@@ -29,12 +34,12 @@ def bits_of(mask: int) -> Iterator[int]:
 def union_table(rows: Sequence[int]) -> list[int]:
     """Per mask m over len(rows) points, the OR of rows[i] for i in m.
 
-    One OR per mask over its low bit: 2^n word operations.
+    The table doubles once per row, the new half being the old half ORed
+    with that row: one OR per mask, 2^n word operations.
     """
-    table = [0] * (1 << len(rows))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = table[m ^ low] | rows[low.bit_length() - 1]
+    table = [0]
+    for row in rows:
+        table += [m | row for m in table]
     return table
 
 
@@ -147,11 +152,12 @@ class GroundSpace:
 
     def __post_init__(self):
         full = self.points.full_mask
-        for m in self.opens:
-            if m & ~full:
-                raise ToolkitError(f"open mask {m:#x} uses bits beyond point count")
-        normalized = tuple(sorted(set(self.opens)))
-        object.__setattr__(self, "opens", normalized)
+        opens = self.opens
+        if opens and (min(opens) < 0 or max(opens) > full):
+            for m in opens:
+                if m & ~full:
+                    raise ToolkitError(f"open mask {m:#x} uses bits beyond point count")
+        object.__setattr__(self, "opens", tuple(sorted(set(opens))))
 
     # -- constructors -------------------------------------------------
 
@@ -168,12 +174,43 @@ class GroundSpace:
         return space
 
     @classmethod
+    def from_minimal_neighbourhoods(
+        cls, ups: Sequence[int], labels: Optional[Sequence[str]] = None
+    ) -> "GroundSpace":
+        """The topology whose minimal open neighbourhoods are `ups`.
+
+        `ups[p]` must hold p, and hold U_q for each q it holds: the up-sets
+        of a preorder, checked in O(n^2). The opens are the unions of the
+        U_p, a topology by construction, so its report is recorded as
+        passing without a scan.
+        """
+        points = PointSet(len(ups), tuple(labels) if labels else None)
+        for p, u in enumerate(ups):
+            if u & ~points.full_mask:
+                raise ToolkitError(f"neighbourhood of point {p} uses bits beyond point count")
+            if not u >> p & 1:
+                raise ToolkitError(f"neighbourhood of point {p} must hold it")
+            for q in bits_of(u):
+                if ups[q] & ~u:
+                    raise ToolkitError(
+                        f"neighbourhood of point {p} must hold that of point {q}"
+                    )
+        opens = {0}
+        for u in ups:
+            opens |= {m | u for m in opens}
+        space = cls(points, tuple(opens))
+        # cached_property reads the instance dict first.
+        space.__dict__["_minimal_neighbourhoods"] = tuple(ups)
+        space.__dict__["topology_report"] = TopologyReport(True, True, None, None)
+        return space
+
+    @classmethod
     def discrete(cls, n: int, labels: Optional[Sequence[str]] = None) -> "GroundSpace":
-        return cls.create(n, all_masks(n), labels)
+        return cls.from_minimal_neighbourhoods([1 << p for p in range(n)], labels)
 
     @classmethod
     def indiscrete(cls, n: int, labels: Optional[Sequence[str]] = None) -> "GroundSpace":
-        return cls.create(n, (0, (1 << n) - 1), labels)
+        return cls.from_minimal_neighbourhoods([(1 << n) - 1] * n, labels)
 
     @classmethod
     def from_partition(
@@ -195,10 +232,11 @@ class GroundSpace:
         n = seen.bit_length()
         if seen != (1 << n) - 1:
             raise ToolkitError("partition blocks must cover 0..n-1 without gaps")
-        opens = {0}
+        ups = [0] * n
         for m in block_masks:
-            opens |= {m | o for o in list(opens)}
-        return cls.create(n, opens, labels)
+            for i in bits_of(m):
+                ups[i] = m
+        return cls.from_minimal_neighbourhoods(ups, labels)
 
     # -- basic queries ------------------------------------------------
 
@@ -249,49 +287,76 @@ class GroundSpace:
         return tuple(union_table(through))
 
     @cached_property
+    def _minimal_neighbourhoods(self) -> tuple[int, ...]:
+        """Per point p, U_p: the meet of the opens holding p (full if none).
+
+        On a topology U_p is p's smallest open neighbourhood, and the
+        topology is fixed by these n masks.
+        """
+        full = self.full_mask
+        ups = []
+        for p in range(self.n):
+            u = full
+            for o in self.opens:
+                if o >> p & 1:
+                    u &= o
+            ups.append(u)
+        return tuple(ups)
+
+    @cached_property
     def _open_hulls(self) -> tuple[int, ...]:
         """Per mask m, the smallest open superset U(m), on a topology.
 
-        U({i}) is the set of points whose closure holds i, and U is
-        additive, so the table is their union table.
+        U is additive, so the table is the union table of the U_p.
         """
-        up = [0] * self.n
-        for p in range(self.n):
-            for i in bits_of(self.closures[1 << p]):
-                up[i] |= 1 << p
-        return tuple(union_table(up))
+        return tuple(union_table(self._minimal_neighbourhoods))
 
     @cached_property
     def closures(self) -> tuple[int, ...]:
         """Per mask m, the meet of the closed supersets of m (full if none).
 
-        Seeded with each closed mask at its own index and the full mask
-        elsewhere, then swept once per point: a mask lacking bit i takes
-        the meet with its superset that has it. After the sweep entry m is
-        the meet over every seeded superset of m, in n 2^n word operations.
-        The sweep never assumes the family is a topology, so it is exact
-        on the broken families `validate_topology` reports on.
+        On a topology closure is additive, and cl({i}) = {p : i in U_p}, so
+        the table is the union table of the n point closures: 2^n ORs.
+        Any other family is swept by `_closure_sweep`, which is exact on
+        the broken families `validate_topology` reports on.
         """
-        n = self.n
-        table = [self.full_mask] * (1 << n)
-        for c in self.closed:
-            table[c] = c
-        for i in range(n):
-            bit = 1 << i
-            for m in range(1 << n):
-                if not m & bit:
-                    table[m] &= table[m | bit]
-        return tuple(table)
+        if not self.topology_report.ok:
+            return _closure_sweep(self)
+        point_closures = [0] * self.n
+        for p, u in enumerate(self._minimal_neighbourhoods):
+            for i in bits_of(u):
+                point_closures[i] |= 1 << p
+        return tuple(union_table(point_closures))
 
     @cached_property
     def regular_open_hulls(self) -> tuple[int, ...]:
         """Per mask m, int(cl m), read off the closure table."""
         cl = self.closures
         full = self.full_mask
-        return tuple(full ^ cl[full ^ c] for c in cl)
+        return tuple([full ^ cl[full ^ c] for c in cl])
 
     def format(self, mask: int) -> str:
         return self.points.format(mask)
+
+
+def _closure_sweep(space: GroundSpace) -> tuple[int, ...]:
+    """The closure table of any open family, topology or not.
+
+    Seeded with each closed mask at its own index and the full mask
+    elsewhere, then swept once per point: a mask lacking bit i takes the
+    meet with its superset that has it. After the sweep entry m is the
+    meet over every seeded superset of m, in n 2^n word operations.
+    """
+    n = space.n
+    table = [space.full_mask] * (1 << n)
+    for c in space.closed:
+        table[c] = c
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if not m & bit:
+                table[m] &= table[m | bit]
+    return tuple(table)
 
 
 # -- topology validation ---------------------------------------------
@@ -310,7 +375,7 @@ def validate_topology(space: GroundSpace) -> TopologyReport:
     members = set(opens)
     union_witness = None
     intersection_witness = None
-    if not _generated_by_minimal_neighbourhoods(space.n, members):
+    if not _generated_by_minimal_neighbourhoods(space._minimal_neighbourhoods, members):
         for i, a in enumerate(opens):
             for b in opens[i:]:
                 if union_witness is None and (a | b) not in members:
@@ -327,7 +392,7 @@ def validate_topology(space: GroundSpace) -> TopologyReport:
     )
 
 
-def _generated_by_minimal_neighbourhoods(n: int, members: set[int]) -> bool:
+def _generated_by_minimal_neighbourhoods(ups: Sequence[int], members: set[int]) -> bool:
     """Is the family exactly the unions of the sets U_p = AND{O : p in O}?
 
     Every member O is the union of the U_p for p in O, so the family lies
@@ -335,13 +400,8 @@ def _generated_by_minimal_neighbourhoods(n: int, members: set[int]) -> bool:
     intersection (q in U_p implies U_q inside U_p). Equality therefore
     proves both closure laws in O(n |family|) set operations.
     """
-    full = (1 << n) - 1
     unions = {0}
-    for p in range(n):
-        u = full
-        for o in members:
-            if o >> p & 1:
-                u &= o
+    for u in ups:
         unions |= {m | u for m in unions}
         if len(unions) > len(members):
             return False
@@ -420,14 +480,19 @@ class Metric:
                 if i != j and d <= 0:
                     raise ToolkitError(f"off-diagonal distances must be positive at ({i},{j})")
         if not self.semimetric:
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if self.rows[i][j] > self.rows[i][k] + self.rows[k][j]:
-                            raise ToolkitError(
-                                f"triangle inequality fails at ({i},{j},{k}); "
-                                f"pass semimetric=True to relax"
-                            )
+            # Scaled to a common denominator the entries are ints; by
+            # symmetry d(k, j) is row j's entry k.
+            scale = lcm(*(d.denominator for row in self.rows for d in row))
+            ints = [[d.numerator * (scale // d.denominator) for d in row] for row in self.rows]
+            for i, row_i in enumerate(ints):
+                for j, row_j in enumerate(ints):
+                    d = row_i[j]
+                    if d > min(map(add, row_i, row_j)):
+                        k = next(k for k in range(n) if d > row_i[k] + row_j[k])
+                        raise ToolkitError(
+                            f"triangle inequality fails at ({i},{j},{k}); "
+                            f"pass semimetric=True to relax"
+                        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], semimetric: bool = False) -> "Metric":

@@ -11,6 +11,11 @@ every finite intersection of a subbase before minimal neighbourhoods
 replaced it. `scan_closure` is the per-mask scan of the closed sets that
 the dense closure table replaced, and `far_miss_mask` is the far-miss
 loop that asked `near` once per hyperpoint before it read matrix rows.
+`smallest_open_superset` is the meet of the opens holding a mask, which
+the hull table reads off the minimal neighbourhoods. `incompatibility_witness`
+is the mask loop `is_compatible` ran for every relation before point rows
+settled it in n row comparisons, and `triangle_failure` the exact-rational
+triangle loop of `Metric` before it compared integers.
 
 The strong-layer loops ran pair by pair before the sweeps read the
 dense matrix: `raw_strongly_far` is the 2^n witness scan per pair,
@@ -242,6 +247,37 @@ def scan_closure(space, mask):
         if mask & ~c == 0:
             result &= c
     return result
+
+
+def smallest_open_superset(space, mask):
+    """Meet of the opens holding `mask`, scanning every open set."""
+    result = space.full_mask
+    for o in space.opens:
+        if mask & ~o == 0:
+            result &= o
+    return result
+
+
+def incompatibility_witness(prox):
+    """First mask whose induced closure differs from the topological one, else None."""
+    near = rule_near(prox)
+    space = prox.space
+    for a in all_masks(space.n):
+        induced = sum(1 << i for i in range(space.n) if near(1 << i, a))
+        if induced != scan_closure(space, a):
+            return a
+    return None
+
+
+def triangle_failure(rows):
+    """First (i, j, k) with d(i, j) > d(i, k) + d(k, j), in loop order, else None."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j]:
+                    return (i, j, k)
+    return None
 
 
 def far_miss_mask(near, cl, comp):

@@ -187,6 +187,17 @@ class TestRobustness:
         assert (code, out) == (2, "")
         assert "metric.semimetric: expected a boolean, got str" in err
 
+    def test_string_replay_expectation_exit_2(self, tmp_path):
+        path = tmp_path / "string_expectation.yaml"
+        path.write_text(
+            "points: [a, b]\ntopology: discrete\nproximity: {kind: overlap}\n"
+            "subsets: {A: [a], B: [b]}\n"
+            "replay:\n  - op: strongly_far\n    args: {a: A, b: B}\n    expect: {holds: '0'}\n"
+        )
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert "replay[0].expect.holds: expected a boolean, got str" in err
+
     def test_non_utf8_file_exit_2(self, tmp_path):
         path = tmp_path / "latin1.yaml"
         path.write_bytes("points: [\xe9]\n".encode("latin-1"))

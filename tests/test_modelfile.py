@@ -5,12 +5,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxitop import InvalidModelError, all_masks, parse, serialize
 from proxitop.modelfile import Model, _emit_inline_list, model_digest, parse_file
-from proxitop.proximity import table_proximity
-from proxitop.search import _table_models
-from proxitop.spaces import GroundSpace, PointSet
+from proxitop.proximity import (
+    CompactnessIdeal,
+    PointRelation,
+    alexandroff_proximity,
+    gap_proximity,
+    overlap_proximity,
+    point_generated_proximity,
+    table_proximity,
+)
+from proxitop.search import _table_models, enumerate_topologies
+from proxitop.spaces import GroundSpace, Metric, PointSet
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -68,6 +77,74 @@ class TestRoundTrip:
         m1 = parse_file(MODELS / "discrete_overlap.yaml")
         m2 = parse_file(MODELS / "discrete_overlap.yaml")
         assert model_digest(m1) == model_digest(m2)
+
+
+# Names YAML 1.1 reads as booleans or null, beside plain ones.
+NAME_POOL = (
+    "no", "No", "NO", "yes", "Yes", "YES", "on", "On", "ON", "off", "Off", "OFF",
+    "true", "True", "TRUE", "false", "False", "FALSE", "null", "Null", "NULL",
+    "y", "n", "a", "b_1", "x-y", "_",
+)
+
+
+@st.composite
+def models(draw):
+    """A model of any proximity kind, named from `NAME_POOL`, with a replay."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    labels = draw(st.lists(st.sampled_from(NAME_POOL), min_size=n, max_size=n, unique=True))
+    space = GroundSpace.create(n, draw(st.sampled_from(enumerate_topologies(n))), labels)
+    masks = st.integers(min_value=0, max_value=space.full_mask)
+    kind = draw(st.sampled_from(("overlap", "gap", "alexandroff", "table", "point_relation")))
+    metric = ideal = None
+    if kind == "overlap":
+        prox = overlap_proximity(space)
+    elif kind == "gap":
+        space = GroundSpace.discrete(n, labels)
+        metric = Metric.line(n)
+        prox = gap_proximity(space, metric, draw(st.fractions(min_value=0, max_value=n)))
+    elif kind == "alexandroff":
+        ideal = CompactnessIdeal.principal(space, draw(st.sampled_from(space.closed)))
+        prox = alexandroff_proximity(space, ideal)
+    elif kind == "table":
+        prox = table_proximity(space, draw(st.lists(st.tuples(masks, masks), max_size=6)))
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        prox = point_generated_proximity(space, PointRelation.from_pairs(n, pairs))
+    subsets = draw(st.dictionaries(st.sampled_from(NAME_POOL), masks, max_size=3))
+    replay = ()
+    if subsets:
+        names = st.sampled_from(sorted(subsets))
+        replay = tuple(
+            {"op": op, "args": {"a": draw(names), "b": draw(names)}, "expect": {key: draw(st.booleans())}}
+            for op, key in draw(st.lists(st.sampled_from(
+                (("near", "value"), ("far", "value"), ("strongly_far", "holds"))
+            ), max_size=3))
+        )
+    return Model(space, prox, metric, ideal, subsets, replay)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(model=models())
+    def test_parse_of_serialize_is_the_same_model(self, model):
+        text = serialize(model)
+        again = parse(text)
+        assert again.space.points.labels == model.space.points.labels
+        assert again.space.opens == model.space.opens
+        assert again.subsets == model.subsets
+        assert again.replay == model.replay
+        for a in all_masks(model.space.n):
+            for b in all_masks(model.space.n):
+                assert again.proximity.near(a, b) == model.proximity.near(a, b)
+        assert serialize(again) == text
+
+    def test_yaml_keywords_are_quoted(self):
+        space = GroundSpace.discrete(2, ("no", "yes"))
+        model = Model(space, overlap_proximity(space), subsets={"null": 0b01})
+        text = serialize(model)
+        assert text.startswith("points: ['no', 'yes']\n")
+        assert "  'null': ['no']\n" in text
+        assert parse(text).subsets == {"null": 0b01}
 
 
 def parse_err(text):
@@ -169,6 +246,28 @@ class TestDiagnostics:
             "proximity: {kind: gap, epsilon: '1/2'}\n"
         )
         assert model.proximity.params["epsilon"] == Fraction(1, 2)
+
+
+class TestReplayExpectations:
+    TEXT = (
+        "points: [a, b]\ntopology: discrete\nproximity: {{kind: overlap}}\n"
+        "subsets: {{A: [a], B: [b]}}\n"
+        "replay:\n  - op: {op}\n    args: {{a: A, b: B}}\n    expect: {{{key}: {value}}}\n"
+    )
+
+    @pytest.mark.parametrize("op,key", [
+        ("far", "value"), ("near", "value"), ("strongly_far", "holds"),
+        ("inclusion_containment", "inclusion"), ("inclusion_containment", "containment"),
+    ])
+    @pytest.mark.parametrize("value", ['"0"', "'false'", "0", "1", "[]", "null"])
+    def test_non_boolean_expectation_refused(self, op, key, value):
+        with pytest.raises(InvalidModelError) as info:
+            parse(self.TEXT.format(op=op, key=key, value=value))
+        assert info.value.where == f"replay[0].expect.{key}"
+
+    def test_boolean_expectation_kept(self):
+        model = parse(self.TEXT.format(op="far", key="value", value="true"))
+        assert model.replay[0]["expect"] == {"value": True}
 
 
 class TestTopologyFindings:

@@ -9,6 +9,7 @@ from proxitop import (
     GroundSpace,
     Metric,
     PointRelation,
+    PointSet,
     ToolkitError,
     all_masks,
     bits_of,
@@ -24,7 +25,9 @@ from proxitop import (
     point_generated_proximity,
     table_proximity,
 )
-from proxitop.search import enumerate_point_relations
+from proxitop.proximity import CompatibilityResult
+from proxitop.search import enumerate_point_relations, enumerate_topologies
+from reference import incompatibility_witness
 
 
 @pytest.fixture
@@ -246,6 +249,47 @@ class TestInducedClosureAndCompatibility:
         report = check_axioms(prox)
         assert report.is_lodato and is_compatible(prox).compatible
         assert kuratowski_violations(3, lambda a: induced_closure(prox, a)) == []
+
+
+def compatibility_sweep():
+    """Every labelled topology with n <= 4, with every point relation,
+    overlap and every principal Alexandroff relation on it."""
+    for n in range(1, 5):
+        relations = list(enumerate_point_relations(n))
+        for opens in enumerate_topologies(n):
+            space = GroundSpace.create(n, opens)
+            for rel in relations:
+                yield point_generated_proximity(space, rel)
+            yield overlap_proximity(space)
+            for top in space.closed:
+                yield alexandroff_proximity(space, CompactnessIdeal.principal(space, top))
+
+
+class TestCompatibilityFromPointRows:
+    def test_matches_the_mask_loop_on_every_small_topology(self):
+        count = 0
+        for prox in compatibility_sweep():
+            witness = incompatibility_witness(prox)
+            assert is_compatible(prox) == CompatibilityResult(witness is None, witness)
+            count += 1
+        assert count == 25_832
+
+    def test_family_that_is_not_a_topology_keeps_the_mask_loop(self):
+        # Every singleton is closed, but no closed set holds {1,2}: equality
+        # agrees with the closure on points and first differs at {1,2}.
+        space = GroundSpace(PointSet(3), (0b010, 0b011, 0b100, 0b101))
+        prox = point_generated_proximity(space, PointRelation.equality(3))
+        assert is_compatible(prox) == CompatibilityResult(False, 0b110)
+        assert incompatibility_witness(prox) == 0b110
+
+    def test_table_keeps_the_mask_loop(self):
+        # Reflexive and symmetric on points, yet {0,1} is near {2} while
+        # neither point is: the first difference is at a two-point mask.
+        space = GroundSpace.discrete(3)
+        pairs = [(m, m) for m in range(1, 8)] + [(0b011, 0b100)]
+        prox = table_proximity(space, pairs)
+        assert is_compatible(prox) == CompatibilityResult(False, 0b011)
+        assert incompatibility_witness(prox) == 0b011
 
 
 class TestKuratowskiChecker:

@@ -1,5 +1,8 @@
 """Core space machinery: masks, topologies, closure and interior."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,9 @@ from proxitop import (
     regular_open_hull,
     validate_topology,
 )
-from reference import scan_closure
+from proxitop.search import enumerate_topologies
+from proxitop.spaces import _closure_sweep
+from reference import scan_closure, smallest_open_superset, triangle_failure
 
 
 def brute_closure(space, s):
@@ -151,6 +156,78 @@ class TestClosureTable:
         assert_closure_table_exact(GroundSpace(PointSet(n), tuple(opens)))
 
 
+def assert_point_tables_exact(space, masks):
+    """The tables read off U_p against the sweep and the scans, at `masks`."""
+    assert space.topology_report.ok
+    assert space.closures == _closure_sweep(space)
+    for m in masks:
+        assert space.closures[m] == scan_closure(space, m)
+        assert space._open_hulls[m] == smallest_open_superset(space, m)
+
+
+def chain_space(n):
+    """Opens {}, {0}, {0,1}, ..., X: U_p = {0..p}."""
+    return GroundSpace.from_minimal_neighbourhoods([(2 << p) - 1 for p in range(n)])
+
+
+def partition_space(n):
+    """Blocks of three consecutive points, the last one shorter."""
+    return GroundSpace.from_partition([range(i, min(i + 3, n)) for i in range(0, n, 3)])
+
+
+def every_partition(n):
+    """Every set partition of 0..n-1, as lists of blocks."""
+    if n == 0:
+        yield []
+        return
+    for blocks in every_partition(n - 1):
+        for k in range(len(blocks)):
+            yield blocks[:k] + [blocks[k] + [n - 1]] + blocks[k + 1:]
+        yield blocks + [[n - 1]]
+
+
+class TestPointClosureTables:
+    """On a topology the tables come from the n minimal neighbourhoods U_p."""
+
+    def test_every_labelled_topology_up_to_four_points(self):
+        for n in range(1, 5):
+            for opens in enumerate_topologies(n):
+                assert_point_tables_exact(GroundSpace.create(n, opens), all_masks(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_topologies_up_to_seven_points(self, data):
+        space = data.draw(space_strategy(max_n=7))
+        assert_point_tables_exact(space, all_masks(space.n))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("build", [GroundSpace.discrete, chain_space, partition_space])
+    def test_sampled_masks_of_large_spaces(self, build, n):
+        space = build(n)
+        full = space.full_mask
+        masks = [0, full] + [1 << i for i in range(n)] + random.Random(n).sample(range(full), 8)
+        assert_point_tables_exact(space, masks)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_constructors_equal_create_on_their_opens(self, n):
+        spaces = [GroundSpace.discrete(n), GroundSpace.indiscrete(n)]
+        spaces += [GroundSpace.from_partition(blocks) for blocks in every_partition(n)]
+        for built in spaces:
+            explicit = GroundSpace.create(n, built.opens)
+            assert built.opens == explicit.opens
+            assert built.topology_report == explicit.topology_report == validate_topology(built)
+            assert built.closures == explicit.closures
+            assert built._open_hulls == explicit._open_hulls
+
+    def test_preorder_constructor_refuses_a_non_preorder(self):
+        with pytest.raises(ToolkitError, match="must hold it"):
+            GroundSpace.from_minimal_neighbourhoods([0b01, 0b01])
+        with pytest.raises(ToolkitError, match="must hold that of point 1"):
+            GroundSpace.from_minimal_neighbourhoods([0b011, 0b110, 0b100])
+        with pytest.raises(ToolkitError, match="beyond point count"):
+            GroundSpace.from_minimal_neighbourhoods([0b101, 0b010])
+
+
 def space_strategy(max_n=4):
     @st.composite
     def build(draw):
@@ -248,6 +325,28 @@ class TestMetric:
             Metric.from_rows([[0, 0], [0, 0]])
         with pytest.raises(ToolkitError):
             Metric.from_rows([[1, 1], [1, 0]])
+
+    def test_triangle_failure_names_the_first_triple(self):
+        rows = [[0, "1/2", "3/2"], ["1/2", 0, "1/3"], ["3/2", "1/3", 0]]
+        with pytest.raises(ToolkitError, match=r"fails at \(0,2,1\);"):
+            Metric.from_rows(rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_triangle_check_matches_the_rational_loop(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        entry = st.fractions(min_value=1, max_value=6, max_denominator=6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(entry)
+        rows = [[Fraction(d) for d in row] for row in rows]
+        expected = triangle_failure(rows)
+        if expected is None:
+            Metric(tuple(map(tuple, rows)))
+        else:
+            with pytest.raises(ToolkitError, match=r"fails at \(%d,%d,%d\);" % expected):
+                Metric(tuple(map(tuple, rows)))
 
     def test_exact_fractions(self):
         m = Metric.from_rows([[0, "1/2"], ["1/2", 0]])
