@@ -155,9 +155,21 @@ def _axiom_section(model: Model, cap: Optional[int]) -> dict:
 
 
 def _cmd_validate(args) -> dict:
+    """The topology report, then, on a topology only, the rest of the model's.
+
+    A proximity on an open family that is not a topology has no meaning,
+    so such a family's document stops at its topology summary.
+    """
     model = _load(args.file, require_valid_topology=False)
     space = model.space
     topo = space.topology_report
+    doc = {
+        "command": "validate",
+        "model": rep.model_header(model, with_timestamp=not args.no_timestamp),
+        "topology": {"valid": topo.ok, "summary": topo.summary()},
+    }
+    if not topo.ok:
+        return doc
     compat = is_compatible(model.proximity)
     singleton_edges = sum(
         1
@@ -165,27 +177,17 @@ def _cmd_validate(args) -> dict:
         for j in range(i, space.n)
         if model.proximity.near(1 << i, 1 << j)
     )
-    doc = {
-        "command": "validate",
-        "model": rep.model_header(model, with_timestamp=not args.no_timestamp),
-        "topology": {
-            "valid": topo.ok,
-            "summary": topo.summary(),
-            "T1": is_T1(space),
-        },
-        "statistics": {
-            "closed_sets": len(space.closed),
-            "hyperpoints": sum(1 for c in space.closed if c),
-            "near_singleton_pairs": singleton_edges,
-            "named_subsets": len(model.subsets),
-        },
-        "proximity": _axiom_section(model, args.cap_n),
-        "compatibility": {
-            "compatible": compat.compatible,
-            "witness": None
-            if compat.witness is None
-            else rep.format_subset(space, compat.witness),
-        },
+    doc["topology"]["T1"] = is_T1(space)
+    doc["statistics"] = {
+        "closed_sets": len(space.closed),
+        "hyperpoints": sum(1 for c in space.closed if c),
+        "near_singleton_pairs": singleton_edges,
+        "named_subsets": len(model.subsets),
+    }
+    doc["proximity"] = _axiom_section(model, args.cap_n)
+    doc["compatibility"] = {
+        "compatible": compat.compatible,
+        "witness": None if compat.witness is None else rep.format_subset(space, compat.witness),
     }
     return doc
 

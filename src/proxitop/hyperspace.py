@@ -11,11 +11,13 @@ neighbourhood, the intersection of the subbase members through p, and
 these are the smallest base of the topology: an open set is exactly a
 union of them. Refinement is therefore decided pointwise without
 enumerating a base: left refines right iff each hyperpoint's minimal
-left neighbourhood lies inside its minimal right one. On a topology
-those neighbourhoods have a closed form (`_closed_form_neighbourhoods`)
-for every kind but hit_and_miss and the miss halves of a relation with
-no neighbourhood table, which walk the subbase; comparing the miss
-halves of a basic relation builds neither.
+left neighbourhood lies inside its minimal right one. Those
+neighbourhoods have a closed form (`_closed_form_neighbourhoods`) for
+every kind but hit_and_miss and the miss halves of a relation with no
+neighbourhood table, which walk the subbase; comparing the miss halves
+of a basic relation builds neither. The closed form reads the space's
+open hulls, so it raises InvalidTopologyError on a family that is not a
+topology.
 """
 
 from __future__ import annotations
@@ -194,12 +196,12 @@ def _closed_form_neighbourhoods(
     whose miss half is {E' : E' misses N(C)} for each closed C inside `top`,
     N additive and symmetric, joined with the hit sets of every open if `hits`.
 
-    On a topology (the caller's guarantee) the C missing N(E) are the closed
-    subsets of K = top \\ U(N(E)), U being the smallest-open-superset table,
-    so the miss members through E meet in the hyperpoints missing N(K); the
-    hit sets through E meet in those meeting U({x}) for each x in E. N is
-    the identity for Vietoris and Fell, the relation's neighbourhood table
-    for far-miss and its square N∘N for sf-miss.
+    The C missing N(E) are the closed subsets of K = top \\ U(N(E)), U being
+    the smallest-open-superset table, so the miss members through E meet in
+    the hyperpoints missing N(K); the hit sets through E meet in those
+    meeting U({x}) for each x in E. N is the identity for Vietoris and
+    Fell, the relation's neighbourhood table for far-miss and its square
+    N∘N for sf-miss.
     """
     hull, meeting = space._open_hulls, space._hyperpoints_meeting
     every = (1 << len(space.nonempty_closed)) - 1
@@ -280,8 +282,7 @@ def build_topology(
             if missable is None or space.complement(w) in missable
         )
 
-    closed = nbhd is not None and space.topology_report.ok
-    mins = _closed_form_neighbourhoods(space, nbhd, top, include_hits) if closed else None
+    mins = None if nbhd is None else _closed_form_neighbourhoods(space, nbhd, top, include_hits)
     return HyperTopologyBase(space, kind, tuple(sorted(set(families))), mins)
 
 

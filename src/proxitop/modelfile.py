@@ -197,11 +197,13 @@ def _parse_topology(doc: dict, labels: tuple[str, ...], has_metric: bool) -> Gro
 
 def _parse_ideal(raw, space: GroundSpace, where: str) -> CompactnessIdeal:
     if raw == "all":
-        return CompactnessIdeal.all_closed(space)
-    raw = _expect_type(raw, list, where, "'all' or a list of closed sets")
-    members = [_subset_mask(space.points.labels, m, f"{where}[{i}]") for i, m in enumerate(raw)]
+        members = space.closed
+    else:
+        raw = _expect_type(raw, list, where, "'all' or a list of closed sets")
+        labels = space.points.labels
+        members = [0] + [_subset_mask(labels, m, f"{where}[{i}]") for i, m in enumerate(raw)]
     try:
-        return CompactnessIdeal(space, frozenset(members) | {0})
+        return CompactnessIdeal(space, frozenset(members))
     except ToolkitError as exc:
         _fail(where, str(exc))
 

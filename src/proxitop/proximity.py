@@ -46,18 +46,19 @@ class ProximityRelation:
 
     A constructor whose rule is generated by its singleton verdicts
     passes `point_generated`, a condition asked once, on first use
-    (overlap and Alexandroff: the family is a topology; gap, point
-    relation and constant: always; the derived strongly-far relation:
-    its base is point-generated). Where it holds, the relation settles at
+    (always, except for the derived strongly-far relation: its base is
+    point-generated). Where it holds, the relation settles at
     its first `near` on its neighbourhood table: the point rows
     R(i) = {j : {i} near {j}}, read off n(n-1)/2 singleton calls of the
     rule (R(i) holds i by P2) unless the constructor already holds them
     (a point relation), give N[a], the union of R(i) over i in a,
     by one OR per mask, and a near b iff N[a] meets b. The table, 2^n
     ints, is the only representation such a relation needs. Any other
-    relation (tables, and the rest on a broken family) calls the rule on
-    every `near` until its first exhaustive sweep (`matrix`) settles it
-    on a dense bit matrix of 4^n bits.
+    relation (tables, and derived-sf relations built on them) calls the
+    rule on every `near` until its first exhaustive sweep (`matrix`)
+    settles it on a dense bit matrix of 4^n bits. A rule that reads
+    closure raises InvalidTopologyError on a family that is not a
+    topology.
 
     `eval_count` is the model searcher's budget unit: the number of rule
     calls `near` has made before the relation settles, and all
@@ -182,8 +183,8 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> tuple[int, ...]:
     """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i < j.
 
-    R(i) is taken to hold i: the relations this reads (point-generated
-    on a topology, or basic) satisfy P2 on singletons.
+    R(i) is taken to hold i: the relations this reads (point-generated,
+    or basic) satisfy P2 on singletons.
     """
     rows = [1 << i for i in range(n)]
     for i in range(n):
@@ -207,10 +208,8 @@ def overlap_proximity(space: GroundSpace) -> ProximityRelation:
     def rule(a: int, b: int) -> bool:
         return closure(space, a) & closure(space, b) != 0
 
-    # Closure is additive only on a real topology.
-    return ProximityRelation(
-        space, "overlap", rule, point_generated=lambda: space.topology_report.ok
-    )
+    # Closure is additive, so R(i) = {j : cl{i} meets cl{j}} generates the rule.
+    return ProximityRelation(space, "overlap", rule, point_generated=_always)
 
 
 def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelation:
@@ -310,11 +309,10 @@ def alexandroff_proximity(space: GroundSpace, ideal: CompactnessIdeal) -> Proxim
             return True
         return ca not in ideal.members and cb not in ideal.members
 
-    # On a topology a valid ideal is the closed subsets of its top, so a
-    # closure leaves it iff some point's closure does.
+    # A valid ideal is the closed subsets of its top, so a closure leaves
+    # it iff some point's closure does.
     return ProximityRelation(
-        space, "alexandroff", rule, {"ideal": ideal},
-        point_generated=lambda: space.topology_report.ok,
+        space, "alexandroff", rule, {"ideal": ideal}, point_generated=_always
     )
 
 
@@ -447,13 +445,13 @@ class CompatibilityResult:
 def is_compatible(prox: ProximityRelation) -> CompatibilityResult:
     """Does the induced closure agree with the space's topology on every subset?
 
-    On a topology, a relation with point rows R has two additive closures,
-    and the induced one sends {i} to R(i). So they agree iff R(i) = cl({i})
-    for every i, and the first mask where they differ is {i} for the lowest
+    A relation with point rows R has two additive closures, and the
+    induced one sends {i} to R(i). So they agree iff R(i) = cl({i}) for
+    every i, and the first mask where they differ is {i} for the lowest
     such i. Any other relation is compared mask by mask.
     """
     space = prox.space
-    rows = prox._point_rows() if space.topology_report.ok else None
+    rows = prox._point_rows()
     if rows is not None:
         for i, row in enumerate(rows):
             if row != closure(space, 1 << i):

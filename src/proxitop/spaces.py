@@ -2,13 +2,12 @@
 
 A ground set of ``n`` points is indexed ``0..n-1`` and every subset is a
 plain ``int`` whose bit ``i`` says whether point ``i`` is in. The space
-stores its topology as the explicit family of open masks, and reads
-closure and interior off one dense table: entry m is the meet of the
-closed supersets of m. A finite topology is fixed by each point's
-minimal open neighbourhood U_p, so on a topology that table is the union
-table of the n point closures; only a family that is not a topology is
-swept. All emitted families are in ascending mask order so reports are
-byte-stable.
+stores its topology as the explicit family of open masks. A finite
+topology is fixed by each point's minimal open neighbourhood U_p, so
+closure, interior and the open and regular-open hulls are read off
+union tables of n rows each. A family that is not a topology has no such
+tables: it supports `validate_topology` and nothing else. All emitted
+families are in ascending mask order so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -144,7 +143,9 @@ class GroundSpace:
     a pure function, so cached tables never change an observable result.
     Use :meth:`create` (or the named constructors) to get a validated
     space; the raw constructor accepts any family so that
-    :func:`validate_topology` has something to report on.
+    :func:`validate_topology` has something to report on. On a family
+    that is not a topology every closure or hull table raises
+    InvalidTopologyError.
     """
 
     points: PointSet
@@ -169,8 +170,7 @@ class GroundSpace:
         labels: Optional[Sequence[str]] = None,
     ) -> "GroundSpace":
         space = cls(PointSet(n, tuple(labels) if labels else None), tuple(opens))
-        if not space.topology_report.ok:
-            raise InvalidTopologyError(space.topology_report)
+        space._require_topology()
         return space
 
     @classmethod
@@ -266,6 +266,10 @@ class GroundSpace:
         """`validate_topology` of this space, computed once."""
         return validate_topology(self)
 
+    def _require_topology(self) -> None:
+        if not self.topology_report.ok:
+            raise InvalidTopologyError(self.topology_report)
+
     @cached_property
     def closed(self) -> tuple[int, ...]:
         """All closed masks, ascending (complements of the opens)."""
@@ -305,23 +309,21 @@ class GroundSpace:
 
     @cached_property
     def _open_hulls(self) -> tuple[int, ...]:
-        """Per mask m, the smallest open superset U(m), on a topology.
+        """Per mask m, the smallest open superset U(m).
 
         U is additive, so the table is the union table of the U_p.
         """
+        self._require_topology()
         return tuple(union_table(self._minimal_neighbourhoods))
 
     @cached_property
     def closures(self) -> tuple[int, ...]:
-        """Per mask m, the meet of the closed supersets of m (full if none).
+        """Per mask m, the meet of the closed supersets of m.
 
-        On a topology closure is additive, and cl({i}) = {p : i in U_p}, so
-        the table is the union table of the n point closures: 2^n ORs.
-        Any other family is swept by `_closure_sweep`, which is exact on
-        the broken families `validate_topology` reports on.
+        Closure is additive, and cl({i}) = {p : i in U_p}, so the table is
+        the union table of the n point closures: 2^n ORs.
         """
-        if not self.topology_report.ok:
-            return _closure_sweep(self)
+        self._require_topology()
         point_closures = [0] * self.n
         for p, u in enumerate(self._minimal_neighbourhoods):
             for i in bits_of(u):
@@ -337,26 +339,6 @@ class GroundSpace:
 
     def format(self, mask: int) -> str:
         return self.points.format(mask)
-
-
-def _closure_sweep(space: GroundSpace) -> tuple[int, ...]:
-    """The closure table of any open family, topology or not.
-
-    Seeded with each closed mask at its own index and the full mask
-    elsewhere, then swept once per point: a mask lacking bit i takes the
-    meet with its superset that has it. After the sweep entry m is the
-    meet over every seeded superset of m, in n 2^n word operations.
-    """
-    n = space.n
-    table = [space.full_mask] * (1 << n)
-    for c in space.closed:
-        table[c] = c
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if not m & bit:
-                table[m] &= table[m | bit]
-    return tuple(table)
 
 
 # -- topology validation ---------------------------------------------

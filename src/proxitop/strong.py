@@ -10,7 +10,8 @@ sweeps all 2^n candidates, and with E = X\\C it is the EF separation
 test, so the sweeps over all pairs read it off the dense matrix, one AND
 of rows per pair. `hat_strongly_far` is the purely topological variant:
 A and B must sit inside disjoint regular-open sets, found in one pass
-over the hulls through B's least regular-open cover.
+over the hulls through B's least regular-open cover; like every hull
+table, it needs the space to be a topology.
 
 Empty inputs get a distinguished "degenerate" verdict instead of the
 vacuous one the raw definitions would produce, so theorem sweeps can
@@ -97,11 +98,11 @@ def hat_strongly_far(space: GroundSpace, a: int, b: int) -> WitnessResult:
 
     minRO(B), the meet of the hulls covering B, lies inside each of them,
     so only an E whose hull covers A and misses minRO(B) can have a C.
-    The regular opens of a finite space are closed under intersection,
+    The regular opens of a finite topology are closed under intersection,
     so minRO(B) is itself a hull and the first such E has one: one pass
-    over the cached hull table. On a family that is not a topology an E
-    without a C is passed over. The witness is the first raw (E, C) pair
-    in lexicographic mask order.
+    over the cached hull table. The witness is that E and the first C
+    whose hull covers B and misses E's, the first raw (E, C) pair in
+    lexicographic mask order.
     """
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
@@ -113,10 +114,8 @@ def hat_strongly_far(space: GroundSpace, a: int, b: int) -> WitnessResult:
     for c in covers_b:
         min_ro &= hulls[c]
     for e, u in enumerate(hulls):
-        if a & ~u or u & min_ro:
-            continue
-        c = next((c for c in covers_b if not u & hulls[c]), None)
-        if c is not None:
+        if not a & ~u and not u & min_ro:
+            c = next(c for c in covers_b if not u & hulls[c])
             return WitnessResult(holds=True, witness=(e, c))
     return WitnessResult(holds=False)
 

@@ -46,6 +46,49 @@ class TestValidate:
         assert "valid: no" in out
         assert "union" in out
 
+    @pytest.mark.parametrize("kind", ["overlap", "table"])
+    def test_family_that_is_not_a_topology_stops_at_the_topology_report(self, tmp_path, kind):
+        # A table is checked on its dense matrix, past a cap of one point.
+        path = tmp_path / "broken_topology.yaml"
+        path.write_text(
+            "points: [a, b, c]\n"
+            "topology: [[], [a], [b], [a, b, c]]\n"
+            f"proximity: {{kind: {kind}}}\n"
+        )
+        code, out, err = run_cli("validate", str(path), "--no-timestamp", "--cap-n", "1")
+        assert (code, err) == (0, "")
+        assert out.endswith(
+            "topology:\n  valid: no\n  summary: union of 0x1 and 0x2 missing\n"
+        )
+        for section in ("T1", "statistics", "proximity:", "compatibility"):
+            assert section not in out
+        code, out, _ = run_cli("validate", str(path), "--no-timestamp", "--json")
+        doc = json.loads(out)
+        assert code == 0 and list(doc) == ["command", "model", "topology"]
+        assert doc["topology"] == {"valid": False, "summary": "union of 0x1 and 0x2 missing"}
+
+    @pytest.mark.parametrize(
+        "opens, message",
+        [
+            ("[[], [a, b], [b, c], [a, b, c]]", "ideal not union closed: {a} | {c} missing"),
+            ("[[], [a, b], [b, c]]", "ideal must contain the empty set"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "verb", [("validate",), ("relations",), ("compare", "--left", "vietoris", "--right", "fell")]
+    )
+    def test_ideal_all_on_a_family_that_is_not_a_topology_exit_2(
+        self, tmp_path, opens, message, verb
+    ):
+        path = tmp_path / "ideal_all.yaml"
+        path.write_text(
+            f"points: [a, b, c]\ntopology: {opens}\n"
+            "proximity: {kind: alexandroff, ideal: all}\n"
+        )
+        code, out, err = run_cli(verb[0], str(path), *verb[1:])
+        assert (code, out) == (2, "")
+        assert err == f"parse error: proximity.ideal: {message}\n"
+
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("points: [a]\nproximity: {kind: overlap}\nbogus_field: 1\n")

@@ -2,10 +2,10 @@
 
 `build_topology` reads the minimal neighbourhoods of the vietoris, fell,
 far-miss and sf-miss topologies, with or without their hit half, off one
-closed form, and walks the subbase only for hit_and_miss, for a relation
-with no neighbourhood table and for a space that is not a topology. Each
-spec's tuple is compared with `reference.subbase_neighbourhoods` of its
-own subbase, and `_compare_miss_halves`, which builds no subbase, with
+closed form, and walks the subbase only for hit_and_miss and for a
+relation with no neighbourhood table. Each spec's tuple is compared with
+`reference.subbase_neighbourhoods` of its own subbase, and
+`_compare_miss_halves`, which builds no subbase, with
 `compare` (verdict and witnesses), over every small topology, point
 relation and principal ideal, every basic search candidate up to four
 points, and random draws up to six points. Up to three points each
@@ -22,7 +22,6 @@ from proxitop import (
     CompactnessIdeal,
     GroundSpace,
     PointRelation,
-    PointSet,
     build_topology,
     check_axioms,
     compare,
@@ -171,12 +170,6 @@ class TestAgainstBuiltTopologies:
         for kind in ("far_miss", "sf_miss", "far_miss_only", "sf_miss_only"):
             assert_matches_walk(build_topology(space, kind, prox=prox), False)
         assert_matches_walk(build_topology(space, "vietoris"), True)
-
-    def test_space_that_is_not_a_topology_walks_the_subbase(self):
-        # {a} and {b} are open but their union is not.
-        space = GroundSpace(PointSet(2), (0b00, 0b01, 0b10))
-        assert not space.topology_report.ok
-        assert_matches_walk(build_topology(space, "vietoris"), False)
 
 
 class TestIncomparableFinding:

@@ -18,7 +18,15 @@ from proxitop.proximity import (
     point_generated_proximity,
     table_proximity,
 )
-from proxitop.search import _table_models, enumerate_topologies
+from proxitop.search import (
+    STATUS_WITNESS,
+    TARGET_NAMES,
+    SearchTarget,
+    _table_models,
+    candidate_models,
+    enumerate_topologies,
+    search,
+)
 from proxitop.spaces import GroundSpace, Metric, PointSet
 
 MODELS = Path(__file__).parent.parent / "models"
@@ -123,20 +131,42 @@ def models(draw):
     return Model(space, prox, metric, ideal, subsets, replay)
 
 
+def assert_round_trips(model):
+    """`parse(serialize(m))` is m on every field and pair; `serialize` is a fixed point."""
+    text = serialize(model)
+    again = parse(text)
+    assert again.space.points.labels == model.space.points.labels
+    assert again.space.opens == model.space.opens
+    assert again.subsets == model.subsets
+    assert again.replay == model.replay
+    for a in all_masks(model.space.n):
+        for b in all_masks(model.space.n):
+            assert again.proximity.near(a, b) == model.proximity.near(a, b)
+    assert serialize(again) == text
+
+
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None)
     @given(model=models())
     def test_parse_of_serialize_is_the_same_model(self, model):
-        text = serialize(model)
-        again = parse(text)
-        assert again.space.points.labels == model.space.points.labels
-        assert again.space.opens == model.space.opens
-        assert again.subsets == model.subsets
-        assert again.replay == model.replay
-        for a in all_masks(model.space.n):
-            for b in all_masks(model.space.n):
-                assert again.proximity.near(a, b) == model.proximity.near(a, b)
-        assert serialize(again) == text
+        assert_round_trips(model)
+
+    def test_every_search_candidate_up_to_four_points(self):
+        # alexandroff, gap, point_relation and table models, all exhaustive
+        target = SearchTarget(TARGET_NAMES[0], n_max=4)
+        kinds = set()
+        count = 0
+        for _, model, _ in candidate_models(target, 0):
+            assert_round_trips(model)
+            kinds.add(model.proximity.kind)
+            count += 1
+        assert count == 436
+        assert kinds == {"alexandroff", "gap", "point_relation", "table"}
+
+    def test_search_witness_with_its_replay(self):
+        outcome = search(SearchTarget("basic-not-lodato", n_max=4))
+        assert outcome.status == STATUS_WITNESS and outcome.witness.replay
+        assert_round_trips(outcome.witness)
 
     def test_yaml_keywords_are_quoted(self):
         space = GroundSpace.discrete(2, ("no", "yes"))

@@ -9,7 +9,6 @@ from proxitop import (
     GroundSpace,
     Metric,
     PointRelation,
-    PointSet,
     ToolkitError,
     all_masks,
     bits_of,
@@ -273,14 +272,6 @@ class TestCompatibilityFromPointRows:
             assert is_compatible(prox) == CompatibilityResult(witness is None, witness)
             count += 1
         assert count == 25_832
-
-    def test_family_that_is_not_a_topology_keeps_the_mask_loop(self):
-        # Every singleton is closed, but no closed set holds {1,2}: equality
-        # agrees with the closure on points and first differs at {1,2}.
-        space = GroundSpace(PointSet(3), (0b010, 0b011, 0b100, 0b101))
-        prox = point_generated_proximity(space, PointRelation.equality(3))
-        assert is_compatible(prox) == CompatibilityResult(False, 0b110)
-        assert incompatibility_witness(prox) == 0b110
 
     def test_table_keeps_the_mask_loop(self):
         # Reflexive and symmetric on points, yet {0,1} is near {2} while

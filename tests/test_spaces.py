@@ -10,20 +10,26 @@ from proxitop import (
     GroundSpace,
     InvalidTopologyError,
     Metric,
+    PointRelation,
     PointSet,
     ToolkitError,
     all_masks,
     bits_of,
+    build_topology,
     closed_sets,
     closure,
+    hat_strongly_far,
     interior,
+    is_compatible,
     is_T1,
+    overlap_proximity,
+    point_generated_proximity,
     regular_open_hull,
     validate_topology,
 )
 from proxitop.search import enumerate_topologies
-from proxitop.spaces import _closure_sweep
 from reference import scan_closure, smallest_open_superset, triangle_failure
+from strategies import space_strategy
 
 
 def brute_closure(space, s):
@@ -139,27 +145,61 @@ def assert_closure_table_exact(space):
         assert regular_open_hull(space, m) == full ^ brute_closure(space, full ^ cl)
 
 
+def assert_closure_table_exact_or_refused(space):
+    """Exact on a topology; InvalidTopologyError on any other family."""
+    if validate_topology(space).ok:
+        assert_closure_table_exact(space)
+        return True
+    with pytest.raises(InvalidTopologyError):
+        space.closures
+    return False
+
+
 class TestClosureTable:
-    """The swept table against closed-superset scans, on any open family."""
+    """The table against closed-superset scans on a topology; refused elsewhere."""
 
     def test_every_family_on_three_points(self):
-        # all 256 families, most of them not topologies
+        # all 256 families: 29 topologies, and 227 families that are not
+        verdicts = []
         for family in range(1 << 8):
             opens = tuple(m for m in range(8) if family >> m & 1)
-            assert_closure_table_exact(GroundSpace(PointSet(3), opens))
+            verdicts.append(assert_closure_table_exact_or_refused(GroundSpace(PointSet(3), opens)))
+        assert verdicts.count(True) == 29 and verdicts.count(False) == 227
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_families_up_to_seven_points(self, data):
         n = data.draw(st.integers(min_value=1, max_value=7))
         opens = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=24))
-        assert_closure_table_exact(GroundSpace(PointSet(n), tuple(opens)))
+        assert_closure_table_exact_or_refused(GroundSpace(PointSet(n), tuple(opens)))
+
+
+class TestFamilyThatIsNotATopology:
+    # {a} and {b} are open but their union is not
+    broken = GroundSpace(PointSet(3), (0, 0b001, 0b010, 0b111))
+
+    def test_every_entry_point_raises(self):
+        space = self.broken
+        relation = point_generated_proximity(space, PointRelation.equality(3))
+        calls = [
+            lambda: closure(space, 0b001),
+            lambda: interior(space, 0b011),
+            lambda: regular_open_hull(space, 0b001),
+            lambda: overlap_proximity(space).near(0b001, 0b010),
+            lambda: is_compatible(relation),
+            lambda: hat_strongly_far(space, 0b001, 0b100),
+            lambda: build_topology(space, "vietoris"),
+            lambda: build_topology(space, "far_miss", prox=relation),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidTopologyError) as info:
+                call()
+            assert info.value.report == validate_topology(space)
 
 
 def assert_point_tables_exact(space, masks):
-    """The tables read off U_p against the sweep and the scans, at `masks`."""
+    """The tables read off U_p against the scans, at `masks`."""
     assert space.topology_report.ok
-    assert space.closures == _closure_sweep(space)
     for m in masks:
         assert space.closures[m] == scan_closure(space, m)
         assert space._open_hulls[m] == smallest_open_superset(space, m)
@@ -226,27 +266,6 @@ class TestPointClosureTables:
             GroundSpace.from_minimal_neighbourhoods([0b011, 0b110, 0b100])
         with pytest.raises(ToolkitError, match="beyond point count"):
             GroundSpace.from_minimal_neighbourhoods([0b101, 0b010])
-
-
-def space_strategy(max_n=4):
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=1, max_value=max_n))
-        full = (1 << n) - 1
-        seeds = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=4))
-        opens = {0, full} | set(seeds)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(opens):
-                for b in list(opens):
-                    for m in (a | b, a & b):
-                        if m not in opens:
-                            opens.add(m)
-                            changed = True
-        return GroundSpace.create(n, opens)
-
-    return build()
 
 
 class TestKuratowskiProperties:

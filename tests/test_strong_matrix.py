@@ -38,7 +38,6 @@ from proxitop.search import (
     _test_sf_not_hat,
     candidate_models,
 )
-from proxitop.spaces import PointSet
 from reference import (
     far_vs_sf,
     first_far_not_sf,
@@ -48,6 +47,7 @@ from reference import (
     sf_miss_mask,
     sf_not_hat_pairs,
 )
+from strategies import space_strategy
 
 
 def _path(space):
@@ -153,25 +153,13 @@ def test_hat_on_every_small_topology(n):
         assert_hat_matches_reference(space, [(a, b) for a in nonempty for b in nonempty])
 
 
-def test_hat_passes_over_a_hull_without_partner_on_a_non_topology():
-    # minRO(B) is not a hull here: the first hull covering A that misses
-    # it has no disjoint partner covering B, and a later one does
-    space = GroundSpace(PointSet(5), (4, 5, 9, 10, 21, 22))
-    assert not space.topology_report.ok
-    assert_hat_matches_reference(space, [(0b00001, 0b10000), (0b00010, 0b10000)])
-    assert hat_strongly_far(space, 0b00001, 0b10000).holds
-
-
 @st.composite
 def families_and_pairs(draw):
-    """Random families on up to six points, mostly not topologies, with pairs."""
-    n = draw(st.integers(1, 6))
-    opens = set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)))
-    if draw(st.booleans()):
-        opens |= {0, (1 << n) - 1}
-    nonempty = st.integers(1, (1 << n) - 1)
+    """Random topologies on up to six points, with pairs."""
+    space = draw(space_strategy(max_n=6))
+    nonempty = st.integers(1, space.full_mask)
     pairs = draw(st.lists(st.tuples(nonempty, nonempty), min_size=1, max_size=20))
-    return GroundSpace(PointSet(n), tuple(opens)), pairs
+    return space, pairs
 
 
 @given(families_and_pairs())
