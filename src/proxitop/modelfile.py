@@ -299,22 +299,32 @@ def _parse_subsets(doc: dict, space: GroundSpace) -> dict[str, int]:
 BOOLEAN_EXPECTATIONS = ("value", "holds", "inclusion", "containment")
 
 
+def _parse_step_fields(step: dict, field: str, where: str) -> dict:
+    """A step's `args` or `expect`: string keys to scalars `serialize` can write."""
+    fields = _expect_type(step.get(field, {}), dict, f"{where}.{field}", "a mapping")
+    for key, value in fields.items():
+        at = f"{where}.{field}.{key}"
+        _expect_type(key, str, at, "a field name")
+        if field == "expect" and key in BOOLEAN_EXPECTATIONS:
+            _expect_type(value, bool, at, "a boolean")
+        else:
+            _expect_type(value, (str, int), at, "a string, integer or boolean")
+    return dict(fields)
+
+
 def _parse_replay(doc: dict) -> tuple[dict, ...]:
     if "replay" not in doc:
         return ()
     raw = _expect_type(doc["replay"], list, "replay", "a list of steps")
     steps = []
     for i, step in enumerate(raw):
-        step = _expect_type(step, dict, f"replay[{i}]", "a mapping")
+        where = f"replay[{i}]"
+        step = _expect_type(step, dict, where, "a mapping")
         if "op" not in step:
-            _fail(f"replay[{i}].op", "required field is missing")
-        op = _expect_type(step["op"], str, f"replay[{i}].op", "an operation name")
-        args = _expect_type(step.get("args", {}), dict, f"replay[{i}].args", "a mapping")
-        expect = _expect_type(step.get("expect", {}), dict, f"replay[{i}].expect", "a mapping")
-        for key in BOOLEAN_EXPECTATIONS:
-            if key in expect:
-                _expect_type(expect[key], bool, f"replay[{i}].expect.{key}", "a boolean")
-        steps.append({"op": op, "args": dict(args), "expect": dict(expect)})
+            _fail(f"{where}.op", "required field is missing")
+        op = _expect_type(step["op"], str, f"{where}.op", "an operation name")
+        fields = {f: _parse_step_fields(step, f, where) for f in ("args", "expect")}
+        steps.append({"op": op, **fields})
     return tuple(steps)
 
 
@@ -448,14 +458,13 @@ def serialize(model: Model) -> str:
         lines.append("replay:")
         for step in model.replay:
             lines.append(f"  - op: {_emit_scalar(step['op'])}")
-            args = step.get("args", {})
-            if args:
-                pairs = ", ".join(f"{k}: {_emit_scalar(v)}" for k, v in sorted(args.items()))
-                lines.append(f"    args: {{{pairs}}}")
-            expect = step.get("expect", {})
-            if expect:
-                pairs = ", ".join(f"{k}: {_emit_scalar(v)}" for k, v in sorted(expect.items()))
-                lines.append(f"    expect: {{{pairs}}}")
+            for field in ("args", "expect"):
+                values = step.get(field, {})
+                if values:
+                    pairs = ", ".join(
+                        f"{_emit_scalar(k)}: {_emit_scalar(v)}" for k, v in sorted(values.items())
+                    )
+                    lines.append(f"    {field}: {{{pairs}}}")
     return "\n".join(lines) + "\n"
 
 

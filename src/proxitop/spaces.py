@@ -278,6 +278,7 @@ class GroundSpace:
     @cached_property
     def nonempty_closed(self) -> tuple[int, ...]:
         """The nonempty closed masks, ascending: the hyperpoints of CL(X)."""
+        self._require_topology()
         return tuple(m for m in self.closed if m != 0)
 
     @cached_property

@@ -9,9 +9,9 @@ witness is N(A): one lookup per pair. Otherwise the witness search
 sweeps all 2^n candidates, and with E = X\\C it is the EF separation
 test, so the sweeps over all pairs read it off the dense matrix, one AND
 of rows per pair. `hat_strongly_far` is the purely topological variant:
-A and B must sit inside disjoint regular-open sets, found in one pass
-over the hulls through B's least regular-open cover; like every hull
-table, it needs the space to be a topology.
+A and B must sit inside disjoint regular-open sets, and the least one
+holding B is int cl U(B), so the verdict is one AND of two table
+lookups; like every hull table, it needs the space to be a topology.
 
 Empty inputs get a distinguished "degenerate" verdict instead of the
 vacuous one the raw definitions would produce, so theorem sweeps can
@@ -71,8 +71,9 @@ def strongly_far(prox: ProximityRelation, a: int, b: int) -> WitnessResult:
     On a point-generated relation the first C is N(A), and it works iff
     N(A) misses N(B): any C holding N(A) meets N(B) otherwise. Since B
     lies in N(B), A is then far from B too. Other relations run the
-    2^n-candidate search.
+    2^n-candidate search. Needs a topology.
     """
+    prox.space._require_topology()
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
     nbhd = prox._neighbourhoods()
@@ -96,28 +97,23 @@ def replay_strongly_far(prox: ProximityRelation, a: int, b: int, c: int) -> bool
 def hat_strongly_far(space: GroundSpace, a: int, b: int) -> WitnessResult:
     """Do disjoint regular-open hulls int(cl E), int(cl C) cover A and B?
 
-    minRO(B), the meet of the hulls covering B, lies inside each of them,
-    so only an E whose hull covers A and misses minRO(B) can have a C.
-    The regular opens of a finite topology are closed under intersection,
-    so minRO(B) is itself a hull and the first such E has one: one pass
-    over the cached hull table. The witness is that E and the first C
-    whose hull covers B and misses E's, the first raw (E, C) pair in
-    lexicographic mask order.
+    The least regular open set holding B is minRO(B) = int cl U(B), U the
+    smallest open superset: int cl U(B) is regular open and holds U(B),
+    and a regular open V holding B holds U(B), so int cl U(B) ⊆ int cl V
+    = V. So the pair holds iff minRO(A) misses minRO(B). The first mask e
+    whose hull covers A lies inside V = minRO(A): for open V, V ∩ cl e ⊆
+    cl(V ∩ e), so the submask e ∩ V covers A too. Its hull is then
+    minRO(A), and the witness, the first raw (E, C) pair in lexicographic
+    mask order, is the first mask covering A and the first covering B.
     """
     if a == 0 or b == 0:
         return WitnessResult(holds=False, degenerate=True)
-    if a & b:  # hulls covering A and B would meet inside A & B
+    hulls, up = space.regular_open_hulls, space._open_hulls
+    if hulls[up[a]] & hulls[up[b]]:
         return WitnessResult(holds=False)
-    hulls = space.regular_open_hulls
-    covers_b = [c for c, v in enumerate(hulls) if b & ~v == 0]
-    min_ro = space.full_mask
-    for c in covers_b:
-        min_ro &= hulls[c]
-    for e, u in enumerate(hulls):
-        if not a & ~u and not u & min_ro:
-            c = next(c for c in covers_b if not u & hulls[c])
-            return WitnessResult(holds=True, witness=(e, c))
-    return WitnessResult(holds=False)
+    e = next(e for e, u in enumerate(hulls) if not a & ~u)
+    c = next(c for c, v in enumerate(hulls) if not b & ~v)
+    return WitnessResult(holds=True, witness=(e, c))
 
 
 def replay_hat_strongly_far(space: GroundSpace, a: int, b: int, e: int, c: int) -> bool:
@@ -213,16 +209,18 @@ def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> LodatoS
     not, the check is skipped and the report says why. The strongly-far
     partners of each a are visited in ascending order; on a point-generated
     relation they are the nonempty submasks of X\\N(N(a)), which a Lodato
-    one (N(N(a)) = N(a)) makes all of a's far partners. The sweep is
-    bounded by DEFAULT_EXHAUSTIVE_CAP.
+    one (N(N(a)) = N(a)) makes all of a's far partners. A pair is
+    hat-strongly-far iff int cl U(a) misses int cl U(b) (see
+    `hat_strongly_far`). DEFAULT_EXHAUSTIVE_CAP bounds the sweep.
     """
     skipped = _lodato_sweep_skipped(space, prox, "check_sf_implies_hat")
     if skipped is not None:
         return skipped
+    hulls, up = space.regular_open_hulls, space._open_hulls
     violations = tuple(
         (a, b)
         for a, b, strong in _far_pairs(prox)
-        if strong and not hat_strongly_far(space, a, b).holds
+        if strong and hulls[up[a]] & hulls[up[b]]
     )
     return LodatoSweepReport(True, "checked", space.full_mask ** 2, violations)
 
@@ -247,8 +245,9 @@ def check_far_vs_sf(prox: ProximityRelation, *, examples_cap: int = 5) -> FarVsS
 
     Reads the neighbourhood table or the dense matrix, so the relation is
     settled on every pair. Up to 3^n far pairs are visited even on the
-    table, so DEFAULT_EXHAUSTIVE_CAP bounds the sweep.
+    table, so DEFAULT_EXHAUSTIVE_CAP bounds the sweep. Needs a topology.
     """
+    prox.space._require_topology()
     n = prox.space.n
     if n > DEFAULT_EXHAUSTIVE_CAP:
         raise CapExceededError("check_far_vs_sf", n, DEFAULT_EXHAUSTIVE_CAP)

@@ -241,6 +241,30 @@ class TestRobustness:
         assert (code, out) == (2, "")
         assert "replay[0].expect.holds: expected a boolean, got str" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "relations"])
+    @pytest.mark.parametrize(
+        "step,where",
+        [
+            ("{op: far, args: {a: [x]}}", "args.a"),
+            ("{op: far, args: {a: null}}", "args.a"),
+            ("{op: far, args: {a: 1.5}}", "args.a"),
+            ("{op: far, args: {a: {b: c}}}", "args.a"),
+            ("{op: far, expect: {verdict: [1]}}", "expect.verdict"),
+            ("{op: far, args: {1: a, b: c}}", "args.1"),
+            ("{op: far, expect: {value: true, 1: 2}}", "expect.1"),
+        ],
+    )
+    def test_replay_field_serialize_cannot_write_exit_2(self, tmp_path, verb, step, where):
+        path = tmp_path / "replay_field.yaml"
+        path.write_text(
+            "points: [a, b]\ntopology: discrete\nproximity: {kind: overlap}\n"
+            f"subsets: {{A: [a], B: [b]}}\nreplay:\n  - {step}\n"
+        )
+        code, out, err = run_cli(verb, str(path))
+        assert (code, out) == (2, "")
+        assert f"replay[0].{where}: expected" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_file_exit_2(self, tmp_path):
         path = tmp_path / "latin1.yaml"
         path.write_bytes("points: [\xe9]\n".encode("latin-1"))

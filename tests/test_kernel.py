@@ -119,6 +119,28 @@ def test_tables_match_reference(prox):
     assert_matches_reference(prox)
 
 
+def planted_p3_table(rng, n=5):
+    """A point-generated relation on three random edges, written out as a
+    table with one near pair of disjoint sets, three points or more
+    between them, dropped: the five-point table that fails P3 first."""
+    edges = rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], 3)
+    base = point_generated_proximity(GroundSpace.discrete(n), PointRelation.from_pairs(n, edges))
+    size = 1 << n
+    pairs = [(a, b) for a in range(size) for b in range(a, size) if base.near(a, b)]
+    pairs.remove(rng.choice([
+        (a, b) for a, b in pairs if not a & b and bin(a | b).count("1") >= 3
+    ]))
+    return table_proximity(GroundSpace.discrete(n), pairs)
+
+
+def test_planted_p3_tables_match_reference():
+    rng = random.Random(24)
+    for _ in range(20):
+        prox = planted_p3_table(rng)
+        assert not check_axioms(prox, axioms=["P3"]).verdicts["P3"].passed
+        assert_matches_reference(prox)
+
+
 @st.composite
 def point_generated(draw):
     n = draw(st.integers(1, 4))

@@ -122,8 +122,14 @@ def models(draw):
     replay = ()
     if subsets:
         names = st.sampled_from(sorted(subsets))
+        # extra keys drawn from NAME_POOL ride along beside the ones replay reads
+        extras = st.dictionaries(st.sampled_from(NAME_POOL), names, max_size=2)
         replay = tuple(
-            {"op": op, "args": {"a": draw(names), "b": draw(names)}, "expect": {key: draw(st.booleans())}}
+            {
+                "op": op,
+                "args": {**draw(extras), "a": draw(names), "b": draw(names)},
+                "expect": {**draw(extras), key: draw(st.booleans())},
+            }
             for op, key in draw(st.lists(st.sampled_from(
                 (("near", "value"), ("far", "value"), ("strongly_far", "holds"))
             ), max_size=3))

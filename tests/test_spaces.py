@@ -16,15 +16,21 @@ from proxitop import (
     all_masks,
     bits_of,
     build_topology,
+    check_axioms,
+    check_far_vs_sf,
     closed_sets,
     closure,
     hat_strongly_far,
+    hit_set,
     interior,
     is_compatible,
     is_T1,
+    miss_set,
     overlap_proximity,
     point_generated_proximity,
     regular_open_hull,
+    strongly_far,
+    table_proximity,
     validate_topology,
 )
 from proxitop.search import enumerate_topologies
@@ -181,6 +187,7 @@ class TestFamilyThatIsNotATopology:
     def test_every_entry_point_raises(self):
         space = self.broken
         relation = point_generated_proximity(space, PointRelation.equality(3))
+        table = table_proximity(space, [(0b001, 0b001)])
         calls = [
             lambda: closure(space, 0b001),
             lambda: interior(space, 0b011),
@@ -190,6 +197,13 @@ class TestFamilyThatIsNotATopology:
             lambda: hat_strongly_far(space, 0b001, 0b100),
             lambda: build_topology(space, "vietoris"),
             lambda: build_topology(space, "far_miss", prox=relation),
+            lambda: build_topology(space, "hit_and_miss", family=(0b110,)),
+            lambda: build_topology(space, "far_miss", prox=table),
+            lambda: hit_set(space, 0b001),
+            lambda: miss_set(space, 0b001),
+            lambda: check_axioms(table),
+            lambda: strongly_far(table, 0b001, 0b010),
+            lambda: check_far_vs_sf(table),
         ]
         for call in calls:
             with pytest.raises(InvalidTopologyError) as info:

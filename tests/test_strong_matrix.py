@@ -7,6 +7,8 @@ with its old loop in `reference`, which sees the relation only through
 its rule: verdicts, counts, examples and exact witnesses must agree.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +153,42 @@ def test_hat_on_every_small_topology(n):
     for opens in enumerate_topologies(n):
         space = GroundSpace.create(n, list(opens))
         assert_hat_matches_reference(space, [(a, b) for a in nonempty for b in nonempty])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_least_regular_open_cover_is_int_cl_of_the_open_hull(n):
+    # F14: minRO(B), the meet of the regular-open hulls covering B, is int cl U(B)
+    for opens in enumerate_topologies(n):
+        space = GroundSpace.create(n, list(opens))
+        hulls = space.regular_open_hulls
+        for b in range(1 << n):
+            meet = space.full_mask
+            for v in hulls:
+                if not b & ~v:
+                    meet &= v
+            assert hulls[space._open_hulls[b]] == meet, (opens, b)
+
+
+SHAPES = {
+    "partition": lambda n: GroundSpace.from_partition(
+        [range(i, min(i + 3, n)) for i in range(0, n, 3)]
+    ),
+    "chain": lambda n: GroundSpace.from_minimal_neighbourhoods([(2 << p) - 1 for p in range(n)]),
+    "discrete": GroundSpace.discrete,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_hat_on_large_spaces(shape, n):
+    # random pairs, and a set in the first block against one beyond it,
+    # which hold on the partition and discrete spaces
+    rng = random.Random(n)
+    pairs = []
+    for _ in range(3):
+        low, high = rng.randrange(1, 8), rng.randrange(1, 1 << n - 3) << 3
+        pairs += [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)), (low, high), (high, low)]
+    assert_hat_matches_reference(SHAPES[shape](n), pairs)
 
 
 @st.composite
