@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -374,6 +375,10 @@ def _emit_scalar(value) -> str:
     if isinstance(value, str):
         if _NAME_RE.match(value) and _reads_back(value):
             return value
+        if not value.isprintable():
+            # A single-quoted scalar folds line breaks; JSON's escapes are
+            # YAML double-quoted escapes.
+            return json.dumps(value)
         return "'" + value.replace("'", "''") + "'"
     raise ToolkitError(f"cannot serialize scalar {value!r}")
 

@@ -45,19 +45,19 @@ class ProximityRelation:
     per pair before it does.
 
     A constructor whose rule is generated by its singleton verdicts
-    passes `point_generated`, a condition asked once, on first use
-    (always, except for the derived strongly-far relation: its base is
-    point-generated). Where it holds, the relation settles at
-    its first `near` on its neighbourhood table: the point rows
-    R(i) = {j : {i} near {j}}, read off n(n-1)/2 singleton calls of the
-    rule (R(i) holds i by P2) unless the constructor already holds them
-    (a point relation), give N[a], the union of R(i) over i in a,
-    by one OR per mask, and a near b iff N[a] meets b. The table, 2^n
-    ints, is the only representation such a relation needs. Any other
-    relation (tables, and derived-sf relations built on them) calls the
-    rule on every `near` until its first exhaustive sweep (`matrix`)
-    settles it on a dense bit matrix of 4^n bits. A rule that reads
-    closure raises InvalidTopologyError on a family that is not a
+    passes `point_rows`, a callback asked once, on first use, for the
+    point rows R(i) = {j : {i} near {j}} (R(i) holds i by P2), or None
+    when the relation is not point-generated after all (the derived
+    strongly-far relation on a base that is not). Each constructor
+    computes R in closed form: no rule call is made to read it. Where
+    there are rows, the relation settles at its first `near` on its
+    neighbourhood table: N[a], the union of R(i) over i in a, by one OR
+    per mask, and a near b iff N[a] meets b. The table, 2^n ints, is the
+    only representation such a relation needs. Any other relation
+    (tables, and derived-sf relations built on them) calls the rule on
+    every `near` until its first exhaustive sweep (`matrix`) settles it
+    on a dense bit matrix of 4^n bits. A rule or a row callback that
+    reads closure raises InvalidTopologyError on a family that is not a
     topology.
 
     `eval_count` is the model searcher's budget unit: the number of rule
@@ -67,7 +67,7 @@ class ProximityRelation:
 
     __slots__ = (
         "space", "kind", "params", "_rule", "eval_count", "_rows", "_singletons", "_nbhd",
-        "_point_generated",
+        "_pending_rows",
     )
 
     def __init__(
@@ -76,7 +76,7 @@ class ProximityRelation:
         kind: str,
         rule: Callable[[int, int], bool],
         params: Optional[dict] = None,
-        point_generated: Optional[Callable[[], bool]] = None,
+        point_rows: Optional[Callable[[], Optional[tuple[int, ...]]]] = None,
     ):
         self.space = space
         self.kind = kind
@@ -86,9 +86,9 @@ class ProximityRelation:
         self._rows: Optional[list[int]] = None
         self._singletons: Optional[tuple[int, ...]] = None
         self._nbhd: Optional[list[int]] = None
-        # Where it holds, the rule is additive with a reflexive, symmetric
-        # R, which the axiom kernel relies on. Cleared once asked.
-        self._point_generated = point_generated
+        # Where it gives rows, the rule is additive with that reflexive,
+        # symmetric R, which the axiom kernel relies on. Cleared once asked.
+        self._pending_rows = point_rows
 
     def near(self, a: int, b: int) -> bool:
         nbhd = self._nbhd
@@ -108,17 +108,17 @@ class ProximityRelation:
     def _point_rows(self) -> Optional[tuple[int, ...]]:
         """The point rows R, or None unless the relation is point-generated.
 
-        The condition is asked on the first call only; reading R settles
-        the relation, so `eval_count` counts every pair from then on. R is
-        read off the rule unless the constructor stored it.
+        The constructor's `point_rows` is asked on the first call only;
+        reading R settles the relation, so `eval_count` counts every pair
+        from then on.
         """
-        generated = self._point_generated
-        if generated is not None:
-            self._point_generated = None
-            if generated():
+        pending = self._pending_rows
+        if pending is not None:
+            self._pending_rows = None
+            rows = pending()
+            if rows is not None:
                 size = 1 << self.space.n
-                if self._singletons is None:
-                    self._singletons = _singleton_rows(self.space.n, self._rule)
+                self._singletons = rows
                 self.eval_count = size * (size + 1) // 2
         return self._singletons
 
@@ -183,8 +183,8 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> tuple[int, ...]:
     """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i < j.
 
-    R(i) is taken to hold i: the relations this reads (point-generated,
-    or basic) satisfy P2 on singletons.
+    R(i) is taken to hold i: the relations this reads (basic tables;
+    every other constructor hands in its rows) satisfy P2 on singletons.
     """
     rows = [1 << i for i in range(n)]
     for i in range(n):
@@ -198,22 +198,64 @@ def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> tuple[int, ...]
 # -- concrete constructors --------------------------------------------
 
 
-def _always() -> bool:
-    return True
+def _overlap_rows(space: GroundSpace) -> tuple[int, ...]:
+    """R(i) = U(cl{i}), the points whose closure meets cl{i} (F15).
+
+    p is in cl{j} iff j is in U_p, the minimal open neighbourhood of p,
+    so cl{i} meets cl{j} iff j lies in the union of the U_p holding i,
+    which is U(cl{i}). O(n^2), with no 2^n table. Needs a topology.
+    """
+    space._require_topology()
+    ups = space._minimal_neighbourhoods
+    rows = []
+    for i in range(len(ups)):
+        row = 0
+        for u in ups:
+            if u >> i & 1:
+                row |= u
+        rows.append(row)
+    return tuple(rows)
+
+
+def _alexandroff_rows(space: GroundSpace, top: int) -> tuple[int, ...]:
+    """R(i) = U(cl{i}), joined by X\\top when i lies outside `top` (F15).
+
+    For the principal ideal below the closed set `top`, cl{j} is a member
+    iff cl{j} lies in `top`, iff j does.
+    """
+    outside = space.full_mask ^ top
+    return tuple(
+        row if top >> i & 1 else row | outside for i, row in enumerate(_overlap_rows(space))
+    )
+
+
+def _gap_rows(metric: Metric, epsilon) -> tuple[int, ...]:
+    """R(i) = {j : d(i, j) <= epsilon}."""
+    return tuple(
+        sum(1 << j for j, d in enumerate(row) if d <= epsilon) for row in metric.rows
+    )
 
 
 def overlap_proximity(space: GroundSpace) -> ProximityRelation:
-    """A near B iff their closures meet."""
+    """A near B iff their closures meet.
+
+    Closure is additive, so the rows R(i) = U(cl{i}) generate the rule.
+    """
 
     def rule(a: int, b: int) -> bool:
         return closure(space, a) & closure(space, b) != 0
 
-    # Closure is additive, so R(i) = {j : cl{i} meets cl{j}} generates the rule.
-    return ProximityRelation(space, "overlap", rule, point_generated=_always)
+    return ProximityRelation(
+        space, "overlap", rule, point_rows=lambda: _overlap_rows(space)
+    )
 
 
 def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelation:
-    """A near B iff both are nonempty and min-distance(A, B) <= epsilon."""
+    """A near B iff both are nonempty and min-distance(A, B) <= epsilon.
+
+    The gap is a minimum over point pairs, so the rows
+    R(i) = {j : d(i, j) <= epsilon} generate the rule.
+    """
     if metric.n != space.n:
         raise ToolkitError("metric dimension must match the space")
     eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
@@ -225,7 +267,8 @@ def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelat
         return g is not None and g <= eps
 
     return ProximityRelation(
-        space, "gap", rule, {"epsilon": eps, "metric": metric}, point_generated=_always
+        space, "gap", rule, {"epsilon": eps, "metric": metric},
+        point_rows=lambda: _gap_rows(metric, eps),
     )
 
 
@@ -296,7 +339,10 @@ def alexandroff_proximity(space: GroundSpace, ideal: CompactnessIdeal) -> Proxim
     """A near B iff closures meet, or both closures fall outside the ideal.
 
     The empty set is hard-coded far from everything; its closure lies in
-    the ideal anyway, so the override only documents intent.
+    the ideal anyway, so the override only documents intent. A valid
+    ideal is the closed subsets of its top, so a closure leaves it iff
+    some point's closure does, and the rows `_alexandroff_rows` generate
+    the rule.
     """
     if ideal.space is not space and ideal.space != space:
         raise ToolkitError("ideal belongs to a different space")
@@ -309,10 +355,9 @@ def alexandroff_proximity(space: GroundSpace, ideal: CompactnessIdeal) -> Proxim
             return True
         return ca not in ideal.members and cb not in ideal.members
 
-    # A valid ideal is the closed subsets of its top, so a closure leaves
-    # it iff some point's closure does.
     return ProximityRelation(
-        space, "alexandroff", rule, {"ideal": ideal}, point_generated=_always
+        space, "alexandroff", rule, {"ideal": ideal},
+        point_rows=lambda: _alexandroff_rows(space, ideal.top),
     )
 
 
@@ -373,7 +418,8 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
     """A near B iff some a in A is point-related to some b in B.
 
     Always satisfies P0-P3; on a finite set this additive form is in fact
-    the general shape of every basic proximity.
+    the general shape of every basic proximity. Its rows are the
+    relation's own.
     """
     if relation.n != space.n:
         raise ToolkitError("point relation dimension must match the space")
@@ -385,13 +431,9 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
                 return True
         return False
 
-    prox = ProximityRelation(
-        space, "point_relation", rule, {"relation": relation}, point_generated=_always
+    return ProximityRelation(
+        space, "point_relation", rule, {"relation": relation}, point_rows=lambda: rows
     )
-    # The rows the rule would be read for; the relation still settles on
-    # them at its first `near`.
-    prox._singletons = rows
-    return prox
 
 
 def table_proximity(
@@ -415,9 +457,10 @@ def table_proximity(
 
 
 def constant_proximity(space: GroundSpace) -> ProximityRelation:
-    """Every pair of nonempty sets is near."""
+    """Every pair of nonempty sets is near: every row is X."""
     return ProximityRelation(
-        space, "constant", lambda a, b: a != 0 and b != 0, point_generated=_always
+        space, "constant", lambda a, b: a != 0 and b != 0,
+        point_rows=lambda: (space.full_mask,) * space.n,
     )
 
 

@@ -14,23 +14,32 @@ randomized stages that kick in past the exhaustive caps draw their
 models from a seeded generator. Outcomes carry the witness model plus a
 replay script of public-operation calls that re-exhibits the property.
 
+The candidates come as a stream of (name, key, build) entries, where
+key is (opens, point rows R) for a point-generated candidate and None
+for a table, and `build()` makes a fresh model. The seed-independent
+exhaustive stages hold only names, keys and the immutable spaces,
+ideals, point relations and metrics their builds close over, so each is
+built once per process (`_exhaustive_stage`), as `enumerate_topologies`
+is; the sampled stages are drawn per call from the seed.
+
 Every target test on a point-generated candidate reads only its
 topology and its point rows R, and the generators keep producing the
 same pair (the Alexandroff ideals, the partition stage and the discrete
-point relations overlap). Within one `search` call each (topology, R)
-pair is therefore tested once: a repeat cannot be a witness, since the
-search would have stopped at its first twin, so it is counted in
-`models_checked` and its determined pairs in `evaluations` but not
-re-tested. Tables are always tested.
+point relations overlap). Within one `search` call each key is therefore
+tested once: a repeat cannot be a witness, since the search would have
+stopped at its first twin, so it is counted in `models_checked` and its
+2^n (2^n + 1) / 2 pairs in `evaluations`, but not built. Every target's
+witness is basic, so a table is tested only once P0-P3 pass on it; the
+check fills its matrix, which the count of pairs would read anyway.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import modelfile
 from .errors import ToolkitError
@@ -49,6 +58,9 @@ from .proximity import (
     CLASS_LODATO,
     CompactnessIdeal,
     PointRelation,
+    ProximityRelation,
+    _alexandroff_rows,
+    _gap_rows,
     alexandroff_proximity,
     check_axioms,
     gap_proximity,
@@ -201,7 +213,39 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[tuple[int, ..
     return tuple(reps)
 
 
-def _table_models(n: int) -> Iterator[tuple[str, Model]]:
+# A point-generated candidate's search key: its topology and point rows.
+Key = tuple[tuple[int, ...], tuple[int, ...]]
+# One stream entry: (name, key, build); tables have no key.
+Entry = tuple[str, Optional[Key], Callable[[], Model]]
+
+
+def _table_model(space: GroundSpace, pairs: tuple[tuple[int, int], ...]) -> Model:
+    return Model(space, table_proximity(space, pairs))
+
+
+def _point_relation_model(space: GroundSpace, rel: PointRelation) -> Model:
+    return Model(space, point_generated_proximity(space, rel))
+
+
+def _gap_model(space: GroundSpace, metric: Metric, eps) -> Model:
+    return Model(space, gap_proximity(space, metric, eps), metric=metric)
+
+
+def _alexandroff_model(space: GroundSpace, ideal: CompactnessIdeal) -> Model:
+    return Model(space, alexandroff_proximity(space, ideal), ideal=ideal)
+
+
+def _point_relation_entry(name: str, space: GroundSpace, rel: PointRelation) -> Entry:
+    return name, (space.opens, rel.rows), partial(_point_relation_model, space, rel)
+
+
+def _alexandroff_entry(name: str, space: GroundSpace, top: int) -> Entry:
+    ideal = CompactnessIdeal.principal(space, top)
+    key = (space.opens, _alexandroff_rows(space, top))
+    return name, key, partial(_alexandroff_model, space, ideal)
+
+
+def _table_stage(n: int) -> Iterator[Entry]:
     """Explicit tables over the nonempty-pair space, discrete topology."""
     space = GroundSpace.discrete(n)
     nonempty = [m for m in all_masks(n) if m]
@@ -209,16 +253,14 @@ def _table_models(n: int) -> Iterator[tuple[str, Model]]:
         (a, b) for ai, a in enumerate(nonempty) for b in nonempty[ai:]
     ]
     for table_id in range(1 << len(pair_space)):
-        pairs = [pair_space[k] for k in bits_of(table_id)]
-        prox = table_proximity(space, pairs)
-        yield f"n{n}/table/{table_id}", Model(space, prox)
+        pairs = tuple(pair_space[k] for k in bits_of(table_id))
+        yield f"n{n}/table/{table_id}", None, partial(_table_model, space, pairs)
 
 
-def _point_relation_models(n: int) -> Iterator[tuple[str, Model]]:
+def _point_relation_stage(n: int) -> Iterator[Entry]:
     space = GroundSpace.discrete(n)
     for idx, rel in enumerate(enumerate_point_relations(n)):
-        prox = point_generated_proximity(space, rel)
-        yield f"n{n}/point_relation/{idx}", Model(space, prox)
+        yield _point_relation_entry(f"n{n}/point_relation/{idx}", space, rel)
 
 
 def _partition_space_of(rel: PointRelation) -> Optional[GroundSpace]:
@@ -235,34 +277,57 @@ def _partition_space_of(rel: PointRelation) -> Optional[GroundSpace]:
     return GroundSpace.from_partition(blocks)
 
 
-def _point_relation_partition_models(n: int) -> Iterator[tuple[str, Model]]:
+def _point_relation_partition_stage(n: int) -> Iterator[Entry]:
     """Transitive relations on their induced partition topology (compatible)."""
     for idx, rel in enumerate(enumerate_point_relations(n)):
         space = _partition_space_of(rel)
         if space is None:
             continue
-        prox = point_generated_proximity(space, rel)
-        yield f"n{n}/point_relation_partition/{idx}", Model(space, prox)
+        yield _point_relation_entry(f"n{n}/point_relation_partition/{idx}", space, rel)
 
 
-def _gap_models(n: int) -> Iterator[tuple[str, Model]]:
+def _gap_stage(n: int) -> Iterator[Entry]:
     if n < 2:
         return
     space = GroundSpace.discrete(n)
     metric = Metric.line(n)
     epsilons = (0,) + metric.distance_values()
     for k, eps in enumerate(epsilons):
-        prox = gap_proximity(space, metric, eps)
-        yield f"n{n}/gap/line-eps{k}", Model(space, prox, metric=metric)
+        key = (space.opens, _gap_rows(metric, eps))
+        yield f"n{n}/gap/line-eps{k}", key, partial(_gap_model, space, metric, eps)
 
 
-def _alexandroff_models(n: int) -> Iterator[tuple[str, Model]]:
+def _alexandroff_stage(n: int) -> Iterator[Entry]:
     for t_idx, opens in enumerate(enumerate_topologies(n, True)):
         space = GroundSpace.create(n, opens)
         for top in space.closed:
-            ideal = CompactnessIdeal.principal(space, top)
-            prox = alexandroff_proximity(space, ideal)
-            yield f"n{n}/alexandroff/t{t_idx}/i{top}", Model(space, prox, ideal=ideal)
+            yield _alexandroff_entry(f"n{n}/alexandroff/t{t_idx}/i{top}", space, top)
+
+
+_STAGES = {
+    "table": _table_stage,
+    "point_relation": _point_relation_stage,
+    "point_relation_partition": _point_relation_partition_stage,
+    "gap": _gap_stage,
+    "alexandroff": _alexandroff_stage,
+}
+
+
+@lru_cache(maxsize=None)
+def _exhaustive_stage(kind: str, n: int) -> tuple[Entry, ...]:
+    """A seed-independent stage, built once per process.
+
+    It holds names, keys and the immutable spaces, ideals, point
+    relations and metrics each `build` closes over; every `build()`
+    makes a fresh model whose relation has made no rule call yet.
+    """
+    return tuple(_STAGES[kind](n))
+
+
+def _table_models(n: int) -> Iterator[tuple[str, Model]]:
+    """Explicit tables over the nonempty-pair space, discrete topology."""
+    for name, _, build in _exhaustive_stage("table", n):
+        yield name, build()
 
 
 def _random_topology(n: int, rng: random.Random) -> GroundSpace:
@@ -282,16 +347,14 @@ def _random_topology(n: int, rng: random.Random) -> GroundSpace:
     return GroundSpace.create(n, opens)
 
 
-def _sampled_models(kind: str, n: int, rng: random.Random) -> Iterator[tuple[str, Model]]:
+def _sampled_stage(kind: str, n: int, rng: random.Random) -> Iterator[Entry]:
     for s in range(SAMPLES_PER_STAGE):
         if kind == "point_relation":
             pairs = _pair_order(n)
             edges = rng.randrange(0, 1 << len(pairs))
             rel = PointRelation.from_pairs(n, [pairs[k] for k in bits_of(edges)])
             space = GroundSpace.discrete(n)
-            yield f"n{n}/point_relation/sample{s}", Model(
-                space, point_generated_proximity(space, rel)
-            )
+            yield _point_relation_entry(f"n{n}/point_relation/sample{s}", space, rel)
         elif kind == "point_relation_partition":
             sizes = []
             left = n
@@ -307,22 +370,19 @@ def _sampled_models(kind: str, n: int, rng: random.Random) -> Iterator[tuple[str
                 n, [(i, j) for block in blocks for i in block for j in block if i < j]
             )
             space = _partition_space_of(rel)
-            yield f"n{n}/point_relation_partition/sample{s}", Model(
-                space, point_generated_proximity(space, rel)
-            )
+            yield _point_relation_entry(f"n{n}/point_relation_partition/sample{s}", space, rel)
         elif kind == "alexandroff":
             space = _random_topology(n, rng)
             top = space.closed[rng.randrange(len(space.closed))]
-            ideal = CompactnessIdeal.principal(space, top)
-            yield f"n{n}/alexandroff/sample{s}", Model(
-                space, alexandroff_proximity(space, ideal), ideal=ideal
-            )
+            yield _alexandroff_entry(f"n{n}/alexandroff/sample{s}", space, top)
         else:
             return
 
 
-def candidate_models(target: SearchTarget, seed: int) -> Iterator[tuple[str, Model, bool]]:
-    """The documented candidate stream: (name, model, exhaustive_stage).
+def _candidates(
+    target: SearchTarget, seed: int
+) -> Iterator[tuple[str, Optional[Key], Callable[[], Model], bool]]:
+    """The candidate stream: (name, key, build, exhaustive_stage).
 
     Within each n, kinds run in the fixed order of ALL_KINDS; exhaustive
     stages come out in canonical order, sampled stages in seeded order.
@@ -331,18 +391,17 @@ def candidate_models(target: SearchTarget, seed: int) -> Iterator[tuple[str, Mod
     for n in range(target.n_min, target.n_max + 1):
         for kind in ALL_KINDS:
             if n <= KIND_EXHAUSTIVE_CAPS[kind]:
-                gen = {
-                    "table": _table_models,
-                    "point_relation": _point_relation_models,
-                    "point_relation_partition": _point_relation_partition_models,
-                    "gap": _gap_models,
-                    "alexandroff": _alexandroff_models,
-                }[kind](n)
-                for name, model in gen:
-                    yield name, model, True
+                for name, key, build in _exhaustive_stage(kind, n):
+                    yield name, key, build, True
             else:
-                for name, model in _sampled_models(kind, n, rng):
-                    yield name, model, False
+                for name, key, build in _sampled_stage(kind, n, rng):
+                    yield name, key, build, False
+
+
+def candidate_models(target: SearchTarget, seed: int) -> Iterator[tuple[str, Model, bool]]:
+    """The documented candidate stream: (name, model, exhaustive_stage)."""
+    for name, _, build, exhaustive_stage in _candidates(target, seed):
+        yield name, build(), exhaustive_stage
 
 
 # -- per-target witness tests ------------------------------------------
@@ -461,6 +520,12 @@ _TARGET_TESTS = {
 # -- the search loop ----------------------------------------------------
 
 
+def _is_basic(prox: ProximityRelation) -> bool:
+    """P0-P3, which every target's witness needs; fills a table's matrix."""
+    report = check_axioms(prox, axioms=("P0", "P1", "P2", "P3"))
+    return all(v.passed for v in report.verdicts.values())
+
+
 def search(
     target: SearchTarget | str,
     *,
@@ -474,7 +539,8 @@ def search(
     when the relation-evaluation budget ran out first (sampled stages
     always end in budget-exhausted if no witness turns up, since they do
     not exhaust anything). A candidate repeating an earlier one's
-    (topology, point relation) is counted but not re-tested.
+    (topology, point rows) key is counted but not built, and a table
+    that is not basic is built but not tested.
     """
     if isinstance(target, str):
         target = SearchTarget(target)
@@ -483,8 +549,8 @@ def search(
     models_checked = 0
     all_exhaustive = True
     notes = []
-    tested: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for name, model, exhaustive_stage in candidate_models(target, seed):
+    tested: set[Key] = set()
+    for name, key, build, exhaustive_stage in _candidates(target, seed):
         if evaluations >= budget:
             notes.append(f"budget ran out before {name}")
             return SearchOutcome(
@@ -492,17 +558,17 @@ def search(
                 notes=tuple(notes),
             )
         all_exhaustive = all_exhaustive and exhaustive_stage
-        prox = model.proximity
-        rows = prox._point_rows()
-        key = None if rows is None else (model.space.opens, rows)
-        if key in tested:
-            witness = None
-        else:
-            witness = test(model)
-            if key is not None:
-                tested.add(key)
-        evaluations += prox.eval_count
         models_checked += 1
+        if key in tested:
+            # Testing the twin settled it on every pair.
+            size = 1 << len(key[1])
+            evaluations += size * (size + 1) // 2
+            continue
+        model = build()
+        if key is not None:
+            tested.add(key)
+        witness = test(model) if key is not None or _is_basic(model.proximity) else None
+        evaluations += model.proximity.eval_count
         if witness is not None:
             return SearchOutcome(
                 target, STATUS_WITNESS, budget, seed, evaluations, models_checked,

@@ -129,16 +129,22 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
     underlying relation and the result can be fed back to check_axioms.
     On a point-generated base with rows R, {i} is strongly far from {j}
     iff R(i) misses R(j), and A from B iff N(A) misses N(B): the derived
-    relation is generated by R∘R, so it settles on the neighbourhood
-    table read off its own singleton verdicts, never on the matrix.
+    relation is generated by R∘R, whose rows are N(R(i)) (F2), so it
+    settles on its neighbourhood table, never on the matrix.
     """
 
     def derived(a: int, b: int) -> bool:
         return _raw_strongly_far(prox, a, b) is None
 
+    def squared_rows() -> Optional[tuple[int, ...]]:
+        rows = prox._point_rows()
+        if rows is None:
+            return None
+        nbhd = prox._neighbourhoods()
+        return tuple(nbhd[row] for row in rows)
+
     return ProximityRelation(
-        prox.space, "derived-sf", derived, {"base": prox.kind},
-        point_generated=lambda: prox._point_rows() is not None,
+        prox.space, "derived-sf", derived, {"base": prox.kind}, point_rows=squared_rows
     )
 
 

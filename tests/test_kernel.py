@@ -230,7 +230,8 @@ class TestMatrix:
             return a & b != 0
 
         prox = ProximityRelation(
-            GroundSpace.discrete(3), "custom", rule, point_generated=lambda: not asked.append(1)
+            GroundSpace.discrete(3), "custom", rule,
+            point_rows=lambda: asked.append(1) or _singleton_rows(3, rule),
         )
         assert not prox.near(5, 2)
         assert calls == [(1, 2), (1, 4), (2, 4)]
@@ -259,7 +260,7 @@ class TestMatrix:
         asked = []
         prox = ProximityRelation(
             GroundSpace.discrete(2), "custom", lambda a, b: a & b != 0,
-            point_generated=lambda: asked.append(1) is not None,
+            point_rows=lambda: asked.append(1),
         )
         for a in range(4):
             prox.near(a, 3)

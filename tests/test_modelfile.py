@@ -1,5 +1,6 @@
 """Model file parsing, validation diagnostics and canonical round-trips."""
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -93,6 +94,9 @@ NAME_POOL = (
     "true", "True", "TRUE", "false", "False", "FALSE", "null", "Null", "NULL",
     "y", "n", "a", "b_1", "x-y", "_",
 )
+# Replay strings besides names: line breaks, a tab, NUL and U+2028, which a
+# single-quoted scalar would not keep.
+TEXT_POOL = NAME_POOL + ("x\ny", "a\r\nb", "\t", "\x00", "p\u2028q", "it's")
 
 
 @st.composite
@@ -122,8 +126,10 @@ def models(draw):
     replay = ()
     if subsets:
         names = st.sampled_from(sorted(subsets))
-        # extra keys drawn from NAME_POOL ride along beside the ones replay reads
-        extras = st.dictionaries(st.sampled_from(NAME_POOL), names, max_size=2)
+        # extra keys and values drawn from TEXT_POOL ride along beside the ones replay reads
+        extras = st.dictionaries(
+            st.sampled_from(TEXT_POOL), names | st.sampled_from(TEXT_POOL), max_size=2
+        )
         replay = tuple(
             {
                 "op": op,
@@ -181,6 +187,15 @@ class TestRoundTripProperty:
         assert text.startswith("points: ['no', 'yes']\n")
         assert "  'null': ['no']\n" in text
         assert parse(text).subsets == {"null": 0b01}
+
+    @pytest.mark.parametrize("value", ["x\ny", "x\r\ny", "x\ty", "x\x00y", "x\u2028y"])
+    def test_unprintable_replay_strings_are_double_quoted(self, value):
+        space = GroundSpace.discrete(1)
+        step = {"op": "near", "args": {"a": "A", "b": "A", "c": value}, "expect": {}}
+        model = Model(space, overlap_proximity(space), subsets={"A": 1}, replay=(step,))
+        text = serialize(model)
+        assert text.splitlines()[-1] == f"    args: {{a: A, b: A, c: {json.dumps(value)}}}"
+        assert parse(text).replay == (step,)
 
 
 def parse_err(text):

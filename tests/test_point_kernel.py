@@ -10,9 +10,10 @@ relations: the first strongly-far witness is N(A) (F1), and the Lodato
 relations compatible with their topology are the equivalence relations
 on their partition spaces (F3). The derived strongly-far relation of a
 point-generated base is point-generated too (F2: it is generated by
-R∘R), so it settles on the kernel from its own singleton verdicts.
-Point rows are read without asking {i} near {i}, which every
-point-generated rule answers yes.
+R∘R), so it settles on the kernel from the rows N(R(i)) of its base.
+Point rows take {i} near {i} as given, which every point-generated rule
+answers yes, and each constructor hands in its rows in closed form
+(F15 for overlap and Alexandroff), equal to the rows its rule gives.
 """
 
 import random
@@ -42,7 +43,7 @@ from proxitop import (
     strongly_far,
 )
 from proxitop.strong import derived_near_from_sf
-from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses
+from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses, _singleton_rows
 from proxitop.search import _pair_order, _partition_space_of, _random_topology
 from reference import axiom_witnesses, raw_strongly_far, rule_near
 
@@ -155,7 +156,8 @@ def test_the_matrix_is_never_built():
 def test_point_generated_rules_are_reflexive():
     """Point rows take {i} near {i} as given; every point-generated
     constructor's rule says so on every labelled topology with n <= 3,
-    and so does the derived strongly-far relation of each."""
+    and so does the derived strongly-far relation of each. The rows each
+    constructor hands in are the ones its rule gives."""
     checked = 0
     for n in (1, 2, 3):
         metric = Metric.line(n)
@@ -170,7 +172,7 @@ def test_point_generated_rules_are_reflexive():
             bases += [gap_proximity(space, metric, e) for e in (0,) + metric.distance_values()]
             bases += [point_generated_proximity(space, rel) for rel in relations]
             for prox in bases + [derived_near_from_sf(b) for b in bases]:
-                assert prox._point_generated(), prox
+                assert prox._point_rows() == _singleton_rows(n, prox._rule), prox
                 for i in range(n):
                     assert prox._rule(1 << i, 1 << i), (opens, prox, i)
                 checked += 1
@@ -253,3 +255,29 @@ def test_f3_compatible_lodato_models_are_partitions():
         for space, rel in found:
             assert rel.is_transitive()
             assert space.opens == _partition_space_of(rel).opens
+
+
+def test_f15_rows_in_closed_form():
+    """F15: for the principal ideal below a closed set `top`, the
+    Alexandroff rows are R(i) = U(cl{i}), joined by X\\top when i lies
+    outside `top`; the overlap rows are U(cl{i}). Both match the rows read
+    off each rule on every labelled topology with n <= 4 and every closed
+    `top`. The expected rows come from the space's hull and closure
+    tables, not from the minimal neighbourhoods the constructors read."""
+    cases = 0
+    for n in range(1, 5):
+        for opens in enumerate_topologies(n):
+            space = GroundSpace.create(n, opens)
+            up, cl = space._open_hulls, space.closures
+            hulls = tuple(up[cl[1 << i]] for i in range(n))
+            overlap = overlap_proximity(space)
+            assert overlap._point_rows() == hulls == _singleton_rows(n, overlap._rule), opens
+            for top in space.closed:
+                prox = alexandroff_proximity(space, CompactnessIdeal.principal(space, top))
+                outside = space.full_mask & ~top
+                expected = tuple(h if top >> i & 1 else h | outside for i, h in enumerate(hulls))
+                assert prox._point_rows() == expected == _singleton_rows(n, prox._rule), (
+                    opens, top,
+                )
+                cases += 1
+    assert cases == 2482

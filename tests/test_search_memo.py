@@ -2,18 +2,40 @@
 
 Every target test on a point-generated candidate reads only the
 topology and the point rows R, so `search` tests the first candidate
-with a given (opens, R) and counts its repeats without testing them.
+with a given (opens, R) and counts its repeats without building them,
+and it tests no table that fails P0-P3. The seed-independent stages
+are built once per process.
 `test_search_matches_the_naive_loop` compares it with
 `reference.naive_search`, which tests every candidate;
 `test_twins_get_the_same_outcome` checks the premise on every candidate
 with n <= 4.
 """
 
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 
-from proxitop import serialize
-from proxitop.search import TARGET_NAMES, SearchTarget, _TARGET_TESTS, candidate_models, search
+from proxitop import cli, hyperspace, proximity, serialize
+from proxitop.modelfile import Model
+from proxitop.proximity import CLASS_NOT_BASIC, ProximityRelation, _singleton_rows, check_axioms
+from proxitop.search import (
+    KIND_EXHAUSTIVE_CAPS,
+    SAMPLES_PER_STAGE,
+    TARGET_NAMES,
+    SearchTarget,
+    _TARGET_TESTS,
+    _candidates,
+    _exhaustive_stage,
+    _table_models,
+    candidate_models,
+    enumerate_topologies,
+    search,
+)
 from reference import naive_search
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def summary(outcome):
@@ -66,7 +88,9 @@ def test_twins_get_the_same_outcome():
 
 def test_repeats_are_not_tested(monkeypatch):
     """At --max-n 4 the stream has 66 tables and 370 point-generated
-    candidates with 180 distinct (opens, R); only those 246 are tested."""
+    candidates with 180 distinct (opens, R). Only those 180 and the 3
+    basic tables are tested: every target's witness is basic, and the
+    63 tables the gate passes over are exactly the not-basic ones."""
     calls = []
     original = _TARGET_TESTS["sf-not-hat"]
 
@@ -77,4 +101,96 @@ def test_repeats_are_not_tested(monkeypatch):
     monkeypatch.setitem(_TARGET_TESTS, "sf-not-hat", counted)
     outcome = search(SearchTarget("sf-not-hat", n_max=4))
     assert outcome.models_checked == 66 + 370
-    assert len(calls) == 66 + 180
+    assert len(calls) == 3 + 180
+    tested = {m.proximity.params["near_pairs"] for m in calls if m.proximity.kind == "table"}
+    tables = [model.proximity for n in (1, 2) for _, model in _table_models(n)]
+    basic = {
+        prox.params["near_pairs"]
+        for prox in tables
+        if check_axioms(prox).classification != CLASS_NOT_BASIC
+    }
+    assert len(tables) - len(basic) == 63
+    assert tested == basic
+
+
+@pytest.mark.parametrize("name", TARGET_NAMES[1:])
+def test_one_relation_per_distinct_candidate(name, monkeypatch):
+    """A search builds the 66 tables and one relation per distinct
+    (opens, R): a repeated key builds nothing, not even its relation."""
+    built = []
+    init = ProximityRelation.__init__
+
+    def counted(self, space, kind, *args, **kwargs):
+        built.append(kind)
+        init(self, space, kind, *args, **kwargs)
+
+    monkeypatch.setattr(ProximityRelation, "__init__", counted)
+    search(SearchTarget(name, n_max=4))
+    assert len(built) == 66 + 180
+    assert built.count("table") == 66
+
+
+def test_stages_are_built_once_and_reused():
+    """Every target's outcome at --max-n 4 is the same from a cold stage
+    cache, from a warm one, and after the topology cache is cleared."""
+    _exhaustive_stage.cache_clear()
+    cold = [summary(search(SearchTarget(name, n_max=4))) for name in TARGET_NAMES]
+    warm = [summary(search(SearchTarget(name, n_max=4))) for name in TARGET_NAMES]
+    enumerate_topologies.cache_clear()
+    cleared = [summary(search(SearchTarget(name, n_max=4))) for name in TARGET_NAMES]
+    assert cold == warm == cleared
+
+
+def test_stages_hold_no_models_or_relations():
+    """The per-process stages hold only names, keys and the immutable
+    arguments each build closes over, so every build starts fresh."""
+    for kind, cap in KIND_EXHAUSTIVE_CAPS.items():
+        for n in range(1, min(cap, 4) + 1):
+            for name, key, build in _exhaustive_stage(kind, n):
+                assert not any(
+                    isinstance(arg, (Model, ProximityRelation)) for arg in build.args
+                ), name
+                first, second = build(), build()
+                assert first.proximity is not second.proximity
+                assert first.proximity.eval_count == 0, name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stream_keys_are_the_built_models_rows(seed):
+    """Each stream key is (opens, R) of the model its build gives: every
+    candidate with n <= 4, and the sampled and gap stages at n = 5 and 6.
+    Tables have no key and no rows."""
+    counts = {}
+    target = SearchTarget(TARGET_NAMES[0], n_max=6)
+    for name, key, build, exhaustive in _candidates(target, seed):
+        model = build()
+        rows = model.proximity._point_rows()
+        assert key == (None if rows is None else (model.space.opens, rows)), name
+        n = model.space.n
+        counts[n, exhaustive] = counts.get((n, exhaustive), 0) + 1
+    assert sum(counts.pop((n, True)) for n in range(1, 5)) == 66 + 370
+    assert set(counts) == {(5, True), (5, False), (6, True), (6, False)}
+    assert counts[5, False] == counts[6, False] == 3 * SAMPLES_PER_STAGE
+
+
+def test_only_tables_read_rows_off_the_rule(monkeypatch):
+    """No constructor reads its rows off its rule: a search of every
+    target at --max-n 4 and `validate` on the overlap, Alexandroff and
+    gap models never call `_singleton_rows` except on a table."""
+    readers = []
+
+    def refuse(n, near):
+        raise AssertionError("rows read off a rule")
+
+    def record(n, near):
+        readers.append(near.__self__.kind)
+        return _singleton_rows(n, near)
+
+    monkeypatch.setattr(proximity, "_singleton_rows", refuse)
+    monkeypatch.setattr(hyperspace, "_singleton_rows", record)
+    for name in TARGET_NAMES:
+        search(SearchTarget(name, n_max=4))
+    for model in ("discrete_overlap", "alexandroff_ideal", "line_gap"):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["validate", str(MODELS / f"{model}.yaml")]) == 0
+    assert readers and set(readers) == {"table"}
