@@ -3,19 +3,22 @@
 Everything in this package enumerates subsets of a finite ground set, so
 costs grow like 2^n (subsets) or 4^n (pairs of subsets). A cap bounds a
 table that is built or a sweep over every pair, and nothing else. A
-point-generated relation lives in a 2^n-entry neighbourhood table,
-bounded by the ground-set cap alone; any other relation needs the
-4^n-bit dense matrix, bounded by DEFAULT_EXHAUSTIVE_CAP, as are the
-theorem sweeps over all far pairs or all pairs of opens. Per-pair
-witness searches (at most 2^n candidates) have no cap of their own.
+basic proximity lives in a 2^n-entry neighbourhood table, bounded by the
+ground-set cap alone; the theorem sweeps over all far pairs or all
+pairs of opens are bounded by DEFAULT_EXHAUSTIVE_CAP. A relation that is
+not basic has no such table: only its axiom report needs the 4^n-bit
+dense matrix, bounded by the same cap, and the hyperspace layer refuses
+it without building one. Per-pair witness searches (at most 2^n
+candidates) have no cap of their own.
 """
 
 # Ground sets larger than this are rejected at construction time.
 MAX_GROUND_POINTS = 16
 
-# Operations that build a relation's dense near matrix (4^n bits), and
-# the sweeps over every far pair (up to 3^n) or pair of opens, refuse to
-# run above this many points. Only `check_axioms` takes it as a keyword.
+# The axiom report of a relation that is not basic, which builds its
+# dense near matrix (4^n bits), and the sweeps over every far pair (up
+# to 3^n) or pair of opens, refuse to run above this many points. Only
+# `check_axioms` takes it as a keyword.
 DEFAULT_EXHAUSTIVE_CAP = 10
 
 # Maximum number of hyperpoints (nonempty closed sets) in CL(X).

@@ -4,42 +4,35 @@ CL(X) is the set of nonempty closed subsets, enumerated in ascending
 mask order; a family of hyperpoints is then a plain int, one bit per
 hyperpoint. The space caches, per mask, the family of the hyperpoints
 meeting it, so hit and miss families, and the far-miss and sf-miss
-families of a point-generated relation, are one lookup each. A topology
-on CL(X) is represented by its subbase alone, its distinct family masks
-in ascending order. On a finite space every hyperpoint p has a minimal
-neighbourhood, the intersection of the subbase members through p, and
-these are the smallest base of the topology: an open set is exactly a
-union of them. Refinement is therefore decided pointwise without
-enumerating a base: left refines right iff each hyperpoint's minimal
-left neighbourhood lies inside its minimal right one. Those
-neighbourhoods have a closed form (`_closed_form_neighbourhoods`) for
-every kind but hit_and_miss and the miss halves of a relation with no
-neighbourhood table, which walk the subbase; comparing the miss halves
-of a basic relation builds neither. The closed form reads the space's
-open hulls, so it raises InvalidTopologyError on a family that is not a
-topology.
+families of a proximity, are one lookup each. Far-miss and sf-miss are
+defined for a proximity, so they refuse a relation that is not basic.
+
+Every topology built here is a hit-and-miss topology: the hit sets of
+every open, or none, joined with the miss sets of a family of closed
+sets. On a finite space each hyperpoint E has a minimal neighbourhood,
+and these are the smallest base: an open set is exactly a union of
+them. The miss members through E meet in the hyperpoints missing V(E),
+the union of the family's members that E misses, so every kind reads
+them off one closed form (`_closed_form_neighbourhoods`), and
+refinement is decided pointwise without enumerating a base. The
+closed form reads the space's open hulls, so it raises
+InvalidTopologyError on a family that is not a topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CapExceededError,
-    DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_HYPER_CAP,
     HyperspaceMismatchError,
     NotOpenError,
     ToolkitError,
 )
-from .proximity import (
-    CompactnessIdeal,
-    ProximityRelation,
-    _singleton_rows,
-)
-from .spaces import GroundSpace, bits_of, union_table
+from .proximity import CompactnessIdeal, ProximityRelation, _require_neighbourhoods
+from .spaces import GroundSpace, bits_of
 from .strong import LodatoSweepReport, _lodato_sweep_skipped
 
 
@@ -85,23 +78,15 @@ def far_miss_set(
 
     With A = X the complement is empty and every hyperpoint is included,
     matching the convention that everything is far from the empty set.
-    On a point-generated relation E is far from X\\A iff E misses
-    N(X\\A), so the family is read off the neighbourhood table with no
-    per-hyperpoint work. Otherwise each hyperpoint E costs one `near`
-    call, which reads the dense matrix once it has been built.
+    E is far from X\\A iff E misses N(X\\A), so the family is read off
+    the neighbourhood table with no per-hyperpoint work. Needs a basic
+    proximity.
     """
     space = prox.space
     _require_open(space, a, "far-miss parameter")
-    cl = enumerate_cl(space, cap=cap)
-    comp = space.complement(a)
-    nbhd = prox._neighbourhoods()
-    if nbhd is not None:
-        return _missing(space, nbhd[comp])
-    mask = 0
-    for idx, e in enumerate(cl):
-        if comp == 0 or not prox.near(e, comp):
-            mask |= 1 << idx
-    return mask
+    enumerate_cl(space, cap=cap)
+    nbhd = _require_neighbourhoods(prox, "far_miss_set")
+    return _missing(space, nbhd[space.complement(a)])
 
 
 def sf_miss_set(
@@ -109,32 +94,16 @@ def sf_miss_set(
 ) -> int:
     """{ E in CL(X) : E strongly far from X\\A }, for open A.
 
-    `cap` bounds |CL(X)|. With B = X\\A, a point-generated relation
-    makes E strongly far from B iff N(E) misses N(B), that is iff E misses
-    N(N(B)): the far-miss family of the squared relation R∘R, read off the
-    neighbourhood table. Otherwise E is strongly far from B iff it is far
-    from B and from some X\\C with C far from B; those X\\C are B's far
-    row of the dense matrix, index-reversed, and only that one row is
-    reversed per call; DEFAULT_EXHAUSTIVE_CAP bounds that matrix.
+    `cap` bounds |CL(X)|. With B = X\\A, E is strongly far from B iff
+    N(E) misses N(B), that is iff E misses N(N(B)): the far-miss family
+    of the squared relation R∘R, read off the neighbourhood table. Needs
+    a basic proximity.
     """
     space = prox.space
     _require_open(space, a, "strongly-far-miss parameter")
-    cl = enumerate_cl(space, cap=cap)
-    comp = space.complement(a)
-    nbhd = prox._neighbourhoods()
-    if nbhd is not None:
-        return _missing(space, nbhd[nbhd[comp]])
-    if space.n > DEFAULT_EXHAUSTIVE_CAP:
-        raise CapExceededError("sf_miss_set", space.n, DEFAULT_EXHAUSTIVE_CAP)
-    rows = prox.matrix()
-    size = 1 << space.n
-    far_comp = ((1 << size) - 1) ^ rows[comp]
-    sep = int(format(far_comp, f"0{size}b")[::-1], 2)
-    mask = 0
-    for idx, e in enumerate(cl):
-        if comp == 0 or not rows[e] >> comp & 1 and sep & ~rows[e]:
-            mask |= 1 << idx
-    return mask
+    enumerate_cl(space, cap=cap)
+    nbhd = _require_neighbourhoods(prox, "sf_miss_set")
+    return _missing(space, nbhd[nbhd[space.complement(a)]])
 
 
 @dataclass(frozen=True)
@@ -142,14 +111,15 @@ class HyperTopologyBase:
     """A subbase on CL(X) and the topology it generates.
 
     The subbase is its distinct family masks, ascending, each over `cl`,
-    the space's nonempty closed sets. The topology is read off its
-    minimal neighbourhoods, given as `closed_form` when known without it.
+    the space's nonempty closed sets. The topology is given by its
+    minimal neighbourhoods, one per hyperpoint: the intersection of the
+    subbase members through it, the full family where there is none.
     """
 
     space: GroundSpace
     kind: str
     subbase: tuple[int, ...]
-    closed_form: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    minimal_neighbourhoods: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def cl(self) -> tuple[int, ...]:
@@ -159,25 +129,6 @@ class HyperTopologyBase:
     @property
     def full_family(self) -> int:
         return (1 << len(self.cl)) - 1
-
-    @cached_property
-    def minimal_neighbourhoods(self) -> tuple[int, ...]:
-        """Per hyperpoint, the intersection of the subbase members through it.
-
-        A hyperpoint no member contains gets the full family (the empty
-        intersection).
-        """
-        if self.closed_form is not None:
-            return self.closed_form
-        mins = [self.full_family] * len(self.cl)
-        for fam in self.subbase:
-            rest = fam
-            while rest:
-                low = rest & -rest
-                idx = low.bit_length() - 1
-                rest ^= low
-                mins[idx] &= fam
-        return tuple(mins)
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -190,29 +141,40 @@ MISS_ONLY_KINDS = ("far_miss_only", "sf_miss_only")
 
 
 def _closed_form_neighbourhoods(
-    space: GroundSpace, nbhd: Sequence[int], top: int, hits: bool
+    space: GroundSpace, unions: Iterable[int], hits: bool
 ) -> tuple[int, ...]:
-    """Minimal neighbourhoods, per hyperpoint E, of the topology on CL(X)
-    whose miss half is {E' : E' misses N(C)} for each closed C inside `top`,
-    N additive and symmetric, joined with the hit sets of every open if `hits`.
+    """Minimal neighbourhoods, per hyperpoint E, of a hit-and-miss topology
+    on CL(X), given V(E) in `unions`, joined with the hit sets of every
+    open if `hits` (F11).
 
-    The C missing N(E) are the closed subsets of K = top \\ U(N(E)), U being
-    the smallest-open-superset table, so the miss members through E meet in
-    the hyperpoints missing N(K); the hit sets through E meet in those
-    meeting U({x}) for each x in E. N is the identity for Vietoris and
-    Fell, the relation's neighbourhood table for far-miss and its square
-    N∘N for sf-miss.
+    Each miss member is the family of hyperpoints missing some set, and
+    V(E) is the union of the sets that E misses, so the miss members
+    through E meet in the hyperpoints missing V(E); the hit sets through
+    E meet in those meeting U({x}) for each x in E, U being the
+    smallest-open-superset table.
     """
     hull, meeting = space._open_hulls, space._hyperpoints_meeting
     every = (1 << len(space.nonempty_closed)) - 1
     point_hits = [meeting[hull[1 << x]] for x in range(space.n)]
     mins = []
-    for e in space.nonempty_closed:
-        m = every ^ meeting[nbhd[top & ~hull[nbhd[e]]]]
+    for e, v in zip(space.nonempty_closed, unions):
+        m = every ^ meeting[v]
         for x in bits_of(e) if hits else ():
             m &= point_hits[x]
         mins.append(m)
     return tuple(mins)
+
+
+def _missed_unions(space: GroundSpace, nbhd: Sequence[int], top: int) -> list[int]:
+    """V(E), per hyperpoint E, for the miss half {E' : E' misses N(C)} over
+    the closed C inside `top`, N additive and symmetric (F4).
+
+    The C missing N(E) are the closed subsets of K = top \\ U(N(E)), so
+    V(E) = N(K). N is the identity for Vietoris and Fell, the relation's
+    neighbourhood table for far-miss and its square N∘N for sf-miss.
+    """
+    hull = space._open_hulls
+    return [nbhd[top & ~hull[nbhd[e]]] for e in space.nonempty_closed]
 
 
 def build_topology(
@@ -235,7 +197,9 @@ def build_topology(
       sf_miss       strongly-far-miss sets of every open (needs `prox`)
 
     The `_only` variants (far_miss_only, sf_miss_only) drop the hit half,
-    which is what comparing the pure miss topologies calls for.
+    which is what comparing the pure miss topologies calls for. The far
+    and sf kinds need a basic proximity; any other relation raises
+    InvalidModelError at `proximity`.
     """
     include_hits = True
     miss_kind = kind
@@ -250,39 +214,44 @@ def build_topology(
     if include_hits:
         families.extend(hit_set(space, v, cap=hyper_cap) for v in space.opens)
 
-    # N and top for `_closed_form_neighbourhoods`; N = None walks the subbase.
-    nbhd: Optional[Sequence[int]] = range(1 << space.n)
-    top = space.full_mask
     if miss_kind in ("far_miss", "sf_miss"):
         if prox is None:
             raise ToolkitError(f"{miss_kind} topology needs a proximity")
-        nbhd = prox._neighbourhoods()
+        nbhd = _require_neighbourhoods(prox, f"{miss_kind} topology")
         if miss_kind == "far_miss":
             families.extend(far_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
         else:
             families.extend(sf_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
-            if nbhd is not None:  # sf-miss is the far-miss half of N∘N
-                nbhd = [nbhd[m] for m in nbhd]
+            nbhd = [nbhd[m] for m in nbhd]  # sf-miss is the far-miss half of N∘N
+        unions = _missed_unions(space, nbhd, space.full_mask)
+    elif miss_kind == "hit_and_miss":
+        if family is None:
+            raise ToolkitError("hit_and_miss topology needs a family of closed sets")
+        for c in family:
+            if not space.is_closed(c):
+                raise ToolkitError(f"family member {space.format(c)} is not closed")
+        families.extend(miss_set(space, space.complement(c), cap=hyper_cap) for c in family)
+        unions = []
+        for e in space.nonempty_closed:
+            v = 0
+            for c in family:
+                if not c & e:
+                    v |= c
+            unions.append(v)
     else:
-        missable = None  # the closed complements that give miss sets; None for all
+        top = space.full_mask
         if miss_kind == "fell":
             if ideal is None:
                 raise ToolkitError("fell topology needs a compactness ideal")
-            missable, top = ideal, ideal.top
-        elif miss_kind == "hit_and_miss":
-            if family is None:
-                raise ToolkitError("hit_and_miss topology needs a family of closed sets")
-            for c in family:
-                if not space.is_closed(c):
-                    raise ToolkitError(f"family member {space.format(c)} is not closed")
-            missable, nbhd = set(family), None
+            top = ideal.top
         families.extend(
             miss_set(space, w, cap=hyper_cap)
             for w in space.opens
-            if missable is None or space.complement(w) in missable
+            if miss_kind == "vietoris" or space.complement(w) in ideal
         )
+        unions = _missed_unions(space, range(1 << space.n), top)
 
-    mins = None if nbhd is None else _closed_form_neighbourhoods(space, nbhd, top, include_hits)
+    mins = _closed_form_neighbourhoods(space, unions, include_hits)
     return HyperTopologyBase(space, kind, tuple(sorted(set(families))), mins)
 
 
@@ -357,20 +326,37 @@ def compare(left: HyperTopologyBase, right: HyperTopologyBase) -> ComparisonResu
 
 def _compare_miss_halves(prox: ProximityRelation) -> ComparisonResult:
     """`compare` of the far_miss_only and sf_miss_only topologies of a
-    relation, building neither subbase. The caller guarantees that the
-    relation is basic and its space a topology; nothing here checks either.
-    """
+    basic relation, building neither subbase."""
     space = prox.space
-    # A table is basic, so its singleton rows generate it.
-    near = prox._neighbourhoods() or union_table(_singleton_rows(space.n, prox.near))
+    near = _require_neighbourhoods(prox, "compare")
     far, sf = (
-        _closed_form_neighbourhoods(space, nbhd, space.full_mask, False)
+        _closed_form_neighbourhoods(space, _missed_unions(space, nbhd, space.full_mask), False)
         for nbhd in (near, [near[m] for m in near])
     )
     return _comparison(_refines_pointwise(far, sf), _refines_pointwise(sf, far))
 
 
 # -- the inclusion law relating the miss halves -----------------------
+
+
+def _inclusion_violations(space: GroundSpace, nbhd: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The open pairs (U, W), ascending, with far-miss(U) inside sf-miss(W)
+    but U not inside W, for the relation with neighbourhood table N.
+
+    With B = X\\U and C = X\\W, the closed sets far from B are those inside
+    K_U = X \\ U(N(B)), itself closed, and those strongly far from C are
+    those missing N(N(C)); so far-miss(U) lies inside sf-miss(W) iff K_U
+    misses N(N(C)), one AND per pair with no family built.
+    """
+    hull, full, opens = space._open_hulls, space.full_mask, space.opens
+    kept = [full ^ hull[nbhd[full ^ u]] for u in opens]
+    reach = [nbhd[nbhd[full ^ w]] for w in opens]
+    return tuple(
+        (u, w)
+        for u, k in zip(opens, kept)
+        for w, r in zip(opens, reach)
+        if not k & r and u & ~w
+    )
 
 
 def check_inclusion_containment(
@@ -381,18 +367,11 @@ def check_inclusion_containment(
     Equivalently, with B = X\\U and C = X\\W closed: if every closed set
     far from B is strongly far from C, then C is contained in B. Holds
     for compatible Lodato relations; the check is skipped otherwise. The
-    violations are (U, W) open pairs.
+    violations are (U, W) open pairs, found by `_inclusion_violations`.
     """
     skipped = _lodato_sweep_skipped(space, prox, "check_inclusion_containment")
     if skipped is not None:
         return skipped
-    opens = space.opens
-    far = [far_miss_set(prox, u) for u in opens]
-    sf = [sf_miss_set(prox, w) for w in opens]
-    violations = tuple(
-        (u, w)
-        for u, far_u in zip(opens, far)
-        for w, sf_w in zip(opens, sf)
-        if far_u & ~sf_w == 0 and u & ~w
-    )
-    return LodatoSweepReport(True, "checked", len(opens) ** 2, violations)
+    nbhd = _require_neighbourhoods(prox, "check_inclusion_containment")
+    violations = _inclusion_violations(space, nbhd)
+    return LodatoSweepReport(True, "checked", len(space.opens) ** 2, violations)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, ToolkitError
+from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, InvalidModelError, ToolkitError
 from .spaces import GroundSpace, Metric, all_masks, bits_of, closure, union_table
 
 AXIOM_NAMES = ("P0", "P1", "P2", "P3", "P4", "P5", "EF", "EF-betweenness")
@@ -44,19 +44,22 @@ class ProximityRelation:
     its rule, and settles into at most one stored form; nothing is kept
     per pair before it does.
 
-    A constructor whose rule is generated by its singleton verdicts
-    passes `point_rows`, a callback asked once, on first use, for the
-    point rows R(i) = {j : {i} near {j}} (R(i) holds i by P2), or None
-    when the relation is not point-generated after all (the derived
-    strongly-far relation on a base that is not). Each constructor
-    computes R in closed form: no rule call is made to read it. Where
-    there are rows, the relation settles at its first `near` on its
-    neighbourhood table: N[a], the union of R(i) over i in a, by one OR
-    per mask, and a near b iff N[a] meets b. The table, 2^n ints, is the
-    only representation such a relation needs. Any other relation
-    (tables, and derived-sf relations built on them) calls the rule on
+    Every constructor here passes `point_rows`, a callback asked once, on
+    first use, for the point rows R(i) = {j : {i} near {j}} (R(i) holds
+    i by P2), or None when the relation is not point-generated after all
+    (a table that is not basic, and the derived strongly-far relation on
+    such a base). Each constructor computes R in closed form: no rule
+    call is made to read it. On a finite set a relation is basic (P0-P3)
+    iff its point rows generate it, so a relation with rows is a
+    proximity; the hyperspace layer and the sweeps over far pairs take
+    only such a relation (`_require_neighbourhoods`). Where there are rows,
+    the relation settles at its first `near` on its neighbourhood table:
+    N[a], the union of R(i) over i in a, by one OR per mask, and a near
+    b iff N[a] meets b. The table, 2^n ints, is the only representation
+    such a relation needs. A relation with no rows calls the rule on
     every `near` until its first exhaustive sweep (`matrix`) settles it
-    on a dense bit matrix of 4^n bits. A rule or a row callback that
+    on a dense bit matrix of 4^n bits, which serves its axiom report
+    and its strongly-far witness search. A rule or a row callback that
     reads closure raises InvalidTopologyError on a family that is not a
     topology.
 
@@ -158,6 +161,20 @@ class ProximityRelation:
         return f"ProximityRelation(kind={self.kind!r}, n={self.space.n})"
 
 
+def _require_neighbourhoods(prox: ProximityRelation, operation: str) -> list[int]:
+    """The neighbourhood table N, or InvalidModelError at `proximity` when
+    the relation has no point rows: a table that is not basic, or a
+    relation derived from one."""
+    nbhd = prox._neighbourhoods()
+    if nbhd is None:
+        raise InvalidModelError(
+            f"{operation} needs a basic proximity (P0-P3); "
+            "run the validate command for the axiom report",
+            "proximity",
+        )
+    return nbhd
+
+
 @lru_cache(maxsize=None)
 def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-n tables of 2^n-bit mask sets: (meets, subsets_of).
@@ -178,21 +195,6 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             meets[m] = meets[m ^ low] | meets[low]
     full = size - 1
     return tuple(meets), tuple(everything ^ meets[full ^ m] for m in range(size))
-
-
-def _singleton_rows(n: int, near: Callable[[int, int], bool]) -> tuple[int, ...]:
-    """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i < j.
-
-    R(i) is taken to hold i: the relations this reads (basic tables;
-    every other constructor hands in its rows) satisfy P2 on singletons.
-    """
-    rows = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if near(1 << i, 1 << j):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
 
 
 # -- concrete constructors --------------------------------------------
@@ -436,13 +438,43 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
     )
 
 
+def _table_rows(n: int, table: frozenset[tuple[int, int]]) -> Optional[tuple[int, ...]]:
+    """R(i) = {j : ({i}, {j}) is listed}, when these rows generate the table (F10).
+
+    They do iff R is reflexive, every listed pair (a, b) has N(a)
+    meeting b, and the table lists as many unordered pairs as R
+    generates. Each nonempty a is near 2^n - 2^(n - |N(a)|) masks b, and
+    that sum counts every unordered pair twice but the 2^n - 1 nonempty
+    diagonal ones (a, a). Otherwise None.
+    """
+    rows = [0] * n
+    for a, b in table:
+        if a and b and not a & a - 1 and not b & b - 1:
+            rows[a.bit_length() - 1] |= b
+            rows[b.bit_length() - 1] |= a
+    if any(not row >> i & 1 for i, row in enumerate(rows)):
+        return None
+    nbhd = union_table(rows)
+    if any(not nbhd[a] & b for a, b in table):
+        return None
+    size = 1 << n
+    generated = sum(size - (size >> na.bit_count()) for na in nbhd) + size - 1
+    return tuple(rows) if 2 * len(table) == generated else None
+
+
 def table_proximity(
     space: GroundSpace, near_pairs: Iterable[tuple[int, int]]
 ) -> ProximityRelation:
     """Explicit relation: listed pairs are near, everything else is far.
 
     Unlike the rule-based constructors nothing is enforced, so a table
-    can violate any axiom; that is the point of loading one.
+    can violate any axiom; that is the point of loading one. A basic
+    table gets its point rows off its singleton pairs (`_table_rows`),
+    so it runs on its neighbourhood table like every other proximity.
+    Reading them reads no closure, so `near` and `far` on a table keep
+    answering on a family that is not a topology: the pairs are the
+    whole description, and the axiom report, the strongly-far layer and
+    the hyperspace layer each refuse that family on their own.
     """
     table = frozenset((a, b) if a <= b else (b, a) for a, b in near_pairs)
     full = space.full_mask
@@ -453,7 +485,10 @@ def table_proximity(
     def rule(a: int, b: int) -> bool:
         return (a, b) in table
 
-    return ProximityRelation(space, "table", rule, {"near_pairs": table})
+    return ProximityRelation(
+        space, "table", rule, {"near_pairs": table},
+        point_rows=lambda: _table_rows(space.n, table),
+    )
 
 
 def constant_proximity(space: GroundSpace) -> ProximityRelation:
@@ -784,9 +819,10 @@ def _matrix_witnesses(prox: ProximityRelation, requested: tuple[str, ...]) -> di
 def _p3_witness(a: int, row: int, n: int, everything: int) -> tuple[int, int, int]:
     """First (a, B, C) with a near B|C != (a near B or a near C); row a fails P3.
 
-    Only tables and relations built on them reach the matrix, and a
-    point-generated relation passes P3, so this plain ascending loop
-    runs once per `check_axioms` at most.
+    Only a relation with no point rows reaches the matrix (a table that
+    is not basic, or a relation derived from one), and a point-generated
+    relation passes P3, so this plain ascending loop runs once per
+    `check_axioms` at most.
     """
     if row & 1:  # near the empty set but not near everything
         return (a, 0, _low(everything ^ row))

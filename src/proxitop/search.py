@@ -29,8 +29,9 @@ point relations overlap). Within one `search` call each key is therefore
 tested once: a repeat cannot be a witness, since the search would have
 stopped at its first twin, so it is counted in `models_checked` and its
 2^n (2^n + 1) / 2 pairs in `evaluations`, but not built. Every target's
-witness is basic, so a table is tested only once P0-P3 pass on it; the
-check fills its matrix, which the count of pairs would read anyway.
+witness is basic, so a table is tested only once P0-P3 pass on it; a
+basic table has point rows, and reading them settles it on every pair,
+which the count of pairs would read anyway.
 """
 
 from __future__ import annotations
@@ -491,8 +492,8 @@ def _test_incomparable(model: Model) -> Optional[Model]:
     rep = check_axioms(prox)
     if not rep.is_basic:
         return None
-    # A basic relation, tables included, is generated by its singleton
-    # nearness, so the miss halves compare without building either one.
+    # A basic relation, tables included, has point rows, so the miss
+    # halves compare without building either one.
     if _compare_miss_halves(prox).verdict != VERDICT_INCOMPARABLE:
         return None
     return replace(
@@ -521,7 +522,8 @@ _TARGET_TESTS = {
 
 
 def _is_basic(prox: ProximityRelation) -> bool:
-    """P0-P3, which every target's witness needs; fills a table's matrix."""
+    """P0-P3, which every target's witness needs: a table passes iff it
+    has point rows, and one that does not settles on its matrix."""
     report = check_axioms(prox, axioms=("P0", "P1", "P2", "P3"))
     return all(v.passed for v in report.verdicts.values())
 

@@ -5,10 +5,11 @@ and C far from B, on top of A far from B; the first such C in mask
 order is the witness, and the degenerate ends (empty and full) are
 flagged when they win. On a point-generated relation, with neighbourhood
 map N, A is strongly far from B iff N(A) and N(B) are disjoint, and the
-witness is N(A): one lookup per pair. Otherwise the witness search
-sweeps all 2^n candidates, and with E = X\\C it is the EF separation
-test, so the sweeps over all pairs read it off the dense matrix, one AND
-of rows per pair. `hat_strongly_far` is the purely topological variant:
+witness is N(A): one lookup per pair. On any other relation the witness
+search sweeps all 2^n candidates. The sweeps over all far pairs are
+statements about a proximity, so they read the neighbourhood table and
+refuse a relation that is not basic (InvalidModelError at `proximity`).
+`hat_strongly_far` is the purely topological variant:
 A and B must sit inside disjoint regular-open sets, and the least one
 holding B is int cl U(B), so the verdict is one AND of two table
 lookups; like every hull table, it needs the space to be a topology.
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP
-from .proximity import ProximityRelation, _far_rows, check_axioms, is_compatible
-from .spaces import GroundSpace, all_masks, bits_of, regular_open_hull
+from .proximity import ProximityRelation, _require_neighbourhoods, check_axioms, is_compatible
+from .spaces import GroundSpace, all_masks, regular_open_hull
 
 
 @dataclass(frozen=True)
@@ -148,21 +149,13 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
     )
 
 
-def _far_pairs(prox: ProximityRelation) -> Iterator[tuple[int, int, bool]]:
-    """Every far pair (a, b) of nonempty masks, ascending, and whether it is strongly far.
+def _far_pairs(nbhd: list[int]) -> Iterator[tuple[int, int, bool]]:
+    """Every far pair (a, b) of nonempty masks, ascending, and whether it is
+    strongly far, read off the neighbourhood table N.
 
-    With a neighbourhood table the far partners of a are the nonempty
-    submasks of X\\N(a), visited in ascending order, and b is strongly
-    far iff it misses N(N(a)). Otherwise they are read off the matrix's
-    far rows.
+    The far partners of a are the nonempty submasks of X\\N(a), visited in
+    ascending order, and b is strongly far iff it misses N(N(a)).
     """
-    nbhd = prox._neighbourhoods()
-    if nbhd is None:
-        far, flipped = _far_rows(prox)
-        for a in range(1, len(far)):
-            for b in bits_of(far[a] & ~1):
-                yield a, b, far[a] & flipped[b] != 0
-        return
     full = len(nbhd) - 1
     for a in range(1, len(nbhd)):
         outside = full ^ nbhd[a]
@@ -213,19 +206,20 @@ def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> LodatoS
     Precondition: the relation is Lodato and compatible with the space's
     topology (the implication leans on P4 plus topological closure); if
     not, the check is skipped and the report says why. The strongly-far
-    partners of each a are visited in ascending order; on a point-generated
-    relation they are the nonempty submasks of X\\N(N(a)), which a Lodato
-    one (N(N(a)) = N(a)) makes all of a's far partners. A pair is
+    partners of each a are visited in ascending order: they are the
+    nonempty submasks of X\\N(N(a)), which a Lodato relation
+    (N(N(a)) = N(a)) makes all of a's far partners. A pair is
     hat-strongly-far iff int cl U(a) misses int cl U(b) (see
     `hat_strongly_far`). DEFAULT_EXHAUSTIVE_CAP bounds the sweep.
     """
     skipped = _lodato_sweep_skipped(space, prox, "check_sf_implies_hat")
     if skipped is not None:
         return skipped
+    nbhd = _require_neighbourhoods(prox, "check_sf_implies_hat")
     hulls, up = space.regular_open_hulls, space._open_hulls
     violations = tuple(
         (a, b)
-        for a, b, strong in _far_pairs(prox)
+        for a, b, strong in _far_pairs(nbhd)
         if strong and hulls[up[a]] & hulls[up[b]]
     )
     return LodatoSweepReport(True, "checked", space.full_mask ** 2, violations)
@@ -249,19 +243,21 @@ class FarVsSfReport:
 def check_far_vs_sf(prox: ProximityRelation, *, examples_cap: int = 5) -> FarVsSfReport:
     """Classify every far pair of nonempty subsets by strong farness.
 
-    Reads the neighbourhood table or the dense matrix, so the relation is
-    settled on every pair. Up to 3^n far pairs are visited even on the
-    table, so DEFAULT_EXHAUSTIVE_CAP bounds the sweep. Needs a topology.
+    Reads the neighbourhood table, so the relation must be a basic
+    proximity (InvalidModelError at `proximity` otherwise). Up to 3^n far
+    pairs are visited, so DEFAULT_EXHAUSTIVE_CAP bounds the sweep. Needs
+    a topology.
     """
     prox.space._require_topology()
     n = prox.space.n
     if n > DEFAULT_EXHAUSTIVE_CAP:
         raise CapExceededError("check_far_vs_sf", n, DEFAULT_EXHAUSTIVE_CAP)
+    nbhd = _require_neighbourhoods(prox, "check_far_vs_sf")
     both = 0
     far_only = 0
     ex_both: list[tuple[int, int]] = []
     ex_far: list[tuple[int, int]] = []
-    for a, b, strong in _far_pairs(prox):
+    for a, b, strong in _far_pairs(nbhd):
         if strong:
             both += 1
             if len(ex_both) < examples_cap:

@@ -35,10 +35,18 @@ each orbit as seen.
 
 `naive_search` is the model searcher's loop before it tested each
 (topology, point relation) once per call: every candidate is tested.
+
+`subbase_neighbourhoods` is the walk over a subbase that minimal
+hyperspace neighbourhoods took before each spec read them off one
+closed form, and `inclusion_containment_violations` the family test of
+the Lemma 3.7 sweep before it compared closed forms. `singleton_rows`
+reads point rows off a relation's singleton verdicts, as tables did
+before they read them off their pairs.
 """
 
 from itertools import permutations
 
+from proxitop.hyperspace import far_miss_set, sf_miss_set
 from proxitop.proximity import AXIOM_NAMES
 from proxitop.search import (
     STATUS_BUDGET,
@@ -182,6 +190,21 @@ def axiom_witnesses(near, n, axioms=AXIOM_NAMES):
     return out
 
 
+def singleton_rows(n, near):
+    """Per point i, R(i) = {j : {i} near {j}}, from one call per pair i < j.
+
+    R(i) is taken to hold i, as P2 on singletons gives: the rows that
+    generate a basic relation.
+    """
+    rows = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if near(1 << i, 1 << j):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def topology_witnesses(opens):
     """(union witness, intersection witness) of an ascending open family."""
     members = set(opens)
@@ -287,6 +310,20 @@ def far_miss_mask(near, cl, comp):
         if comp == 0 or not near(e, comp):
             mask |= 1 << idx
     return mask
+
+
+def inclusion_containment_violations(prox):
+    """Open pairs (U, W), ascending, with far-miss(U) inside sf-miss(W) and
+    U not inside W, from the two families of every open."""
+    opens = prox.space.opens
+    far = [far_miss_set(prox, u) for u in opens]
+    sf = [sf_miss_set(prox, w) for w in opens]
+    return tuple(
+        (u, w)
+        for u, far_u in zip(opens, far)
+        for w, sf_w in zip(opens, sf)
+        if far_u & ~sf_w == 0 and u & ~w
+    )
 
 
 def raw_strongly_far(near, n, a, b):

@@ -48,7 +48,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("kind", ["overlap", "table"])
     def test_family_that_is_not_a_topology_stops_at_the_topology_report(self, tmp_path, kind):
-        # A table is checked on its dense matrix, past a cap of one point.
+        # An empty table is not basic, so it would be checked on its dense
+        # matrix, past a cap of one point.
         path = tmp_path / "broken_topology.yaml"
         path.write_text(
             "points: [a, b, c]\n"
@@ -101,7 +102,7 @@ class TestValidate:
         assert code == 2
 
     def test_cap_exceeded_exit_3(self, tmp_path):
-        # a table has no neighbourhood table, so it needs the dense matrix
+        # an empty table is not basic, so it needs the dense matrix
         path = tmp_path / "table3.yaml"
         path.write_text("points: 3\ntopology: discrete\nproximity: {kind: table, near: []}\n")
         code, _, err = run_cli("validate", str(path), "--cap-n", "2")
@@ -442,6 +443,58 @@ class TestCompare:
         )
         assert code == 0
         assert "verdict: equal" in out
+
+    @pytest.mark.parametrize("spec", ["far_miss", "sf_miss", "far_miss_only", "sf_miss_only"])
+    def test_non_basic_table_exit_2(self, tmp_path, spec):
+        # {b} is not near itself: the table is not a proximity.
+        path = tmp_path / "table2.yaml"
+        path.write_text(
+            "points: [a, b]\ntopology: discrete\n"
+            "proximity: {kind: table, near: [[[a], [a]], [[a], [b]]]}\n"
+        )
+        code, out, err = run_cli("compare", str(path), "--left", spec, "--right", "vietoris")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error: proximity: {spec.removesuffix('_only')} topology needs a basic "
+            "proximity (P0-P3); run the validate command for the axiom report\n"
+        )
+        code, out, _ = run_cli("compare", str(path), "--left", "vietoris", "--right", "vietoris")
+        assert code == 0 and "verdict: equal" in out
+
+    def test_basic_table_compares_like_its_point_relation(self, tmp_path):
+        # the path a - b - c written out as a table, and as a point relation
+        table = tmp_path / "table3.yaml"
+        names = ("a", "b", "c")
+        rows = (0b011, 0b111, 0b110)
+        near = [
+            (x, y)
+            for x in range(1, 8)
+            for y in range(x, 8)
+            if any(rows[i] & y for i in range(3) if x >> i & 1)
+        ]
+
+        def subset(mask):
+            return "[" + ", ".join(names[i] for i in range(3) if mask >> i & 1) + "]"
+
+        pairs = ", ".join(f"[{subset(x)}, {subset(y)}]" for x, y in near)
+        table.write_text(
+            f"points: [a, b, c]\ntopology: discrete\nproximity: {{kind: table, near: [{pairs}]}}\n"
+        )
+        relation = tmp_path / "path3.yaml"
+        relation.write_text(
+            "points: [a, b, c]\ntopology: discrete\n"
+            "proximity: {kind: point_relation, relation: [[a, b], [b, c]]}\n"
+        )
+        argv = ("--left", "far_miss_only", "--right", "sf_miss_only", "--json", "--no-timestamp")
+        docs = []
+        for path in (table, relation):
+            code, out, err = run_cli("compare", str(path), *argv)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            del doc["model"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["verdict"] == "left-strictly-finer"
 
     def test_fell_needs_ideal(self):
         code, _, err = run_cli(

@@ -12,6 +12,7 @@ from proxitop import (
     CompactnessIdeal,
     GroundSpace,
     HyperspaceMismatchError,
+    InvalidModelError,
     Metric,
     NotOpenError,
     PointRelation,
@@ -170,8 +171,8 @@ class TestFarMiss:
 
 
     def test_far_miss_off_the_table_stores_nothing_per_pair(self):
-        """A relation with no neighbourhood table calls its rule per
-        hyperpoint; 65,280 calls keep no per-pair record."""
+        """A basic table of 32,896 pairs reads its point rows off its
+        singleton pairs; the far-miss families then keep no per-pair record."""
         space = GroundSpace.discrete(8)
         prox = table_proximity(space, [(a, b) for a in range(256) for b in range(a, 256) if a & b])
         cl = enumerate_cl(space)
@@ -225,8 +226,17 @@ class TestBuildTopology:
             build_topology(discrete3, "nonsense")
 
 
+def custom_base(space, subbase):
+    """The topology a hand-made subbase generates, with its minimal
+    neighbourhoods walked off the subbase."""
+    count = len(space.nonempty_closed)
+    return HyperTopologyBase(
+        space, "custom", subbase, tuple(subbase_neighbourhoods(subbase, count))
+    )
+
+
 def trivial_base(space):
-    return HyperTopologyBase(space, "custom", ())
+    return custom_base(space, ())
 
 
 class TestRefinesCompare:
@@ -245,8 +255,8 @@ class TestRefinesCompare:
         assert result.verdict == "left-strictly-finer"
 
     def test_incomparable_pair(self, discrete2):
-        left = HyperTopologyBase(discrete2, "custom", (0b001,))
-        right = HyperTopologyBase(discrete2, "custom", (0b010,))
+        left = custom_base(discrete2, (0b001,))
+        right = custom_base(discrete2, (0b010,))
         assert compare(left, right).verdict == "incomparable"
 
     def test_transitive(self, discrete3):
@@ -382,7 +392,7 @@ class TestHitMissAgainstReference:
 
 
 class TestFarMissAgainstReference:
-    """far_miss_set's table and matrix reads against the per-pair loop on the rule."""
+    """far_miss_set's neighbourhood-table reads against the per-pair loop on the rule."""
 
     @staticmethod
     def assert_matches_reference(prox, opens):
@@ -412,13 +422,24 @@ class TestFarMissAgainstReference:
         assert prox._rows is None
 
     def test_tables(self):
-        # no point rows: the matrix, or past its cap `near` per hyperpoint
+        # A basic table reads its rows off its singleton pairs; any other
+        # table is refused before its matrix is built, past the cap too.
+        basic = 0
         for n in (1, 2):
             for _, model in _table_models(n):
-                self.assert_matches_reference(model.proximity, model.space.opens)
+                prox = model.proximity
+                if check_axioms(prox).is_basic:
+                    self.assert_matches_reference(prox, model.space.opens)
+                    basic += 1
+                else:
+                    with pytest.raises(InvalidModelError):
+                        far_miss_set(prox, model.space.full_mask)
+        assert basic == 3
         space = GroundSpace.from_partition([[0, 1, 2], [3, 4], [5, 6, 7, 8], [9, 10]])
         prox = table_proximity(space, [(0b111, 0b11000), (0b11000, 0b11111100000)])
-        self.assert_matches_reference(prox, space.opens)
+        with pytest.raises(InvalidModelError) as info:
+            far_miss_set(prox, space.full_mask)
+        assert info.value.where == "proximity"
         assert prox._rows is None
 
 

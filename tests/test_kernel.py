@@ -24,11 +24,11 @@ from proxitop import (
     point_generated_proximity,
     table_proximity,
 )
-from proxitop.proximity import AXIOM_NAMES, _singleton_rows
+from proxitop.proximity import AXIOM_NAMES
 from proxitop.search import _pair_order, _random_topology, enumerate_point_relations
 from proxitop.spaces import PointSet, all_masks, validate_topology
 from proxitop.strong import derived_near_from_sf
-from reference import axiom_witnesses, rule_near, topology_witnesses
+from reference import axiom_witnesses, rule_near, singleton_rows, topology_witnesses
 from strategies import space_strategy
 
 
@@ -231,7 +231,7 @@ class TestMatrix:
 
         prox = ProximityRelation(
             GroundSpace.discrete(3), "custom", rule,
-            point_rows=lambda: asked.append(1) or _singleton_rows(3, rule),
+            point_rows=lambda: asked.append(1) or singleton_rows(3, rule),
         )
         assert not prox.near(5, 2)
         assert calls == [(1, 2), (1, 4), (2, 4)]
@@ -253,7 +253,7 @@ class TestMatrix:
             prox.near(1, size - 1)
             assert calls == [] and prox._nbhd is not None
             assert prox.eval_count == size * (size + 1) // 2
-            assert prox._point_rows() == _singleton_rows(n, rule)
+            assert prox._point_rows() == singleton_rows(n, rule)
             assert all(prox.near(a, b) == rule(a, b) for a in range(size) for b in range(a, size))
 
     def test_point_generation_is_asked_once(self):

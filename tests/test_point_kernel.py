@@ -43,9 +43,9 @@ from proxitop import (
     strongly_far,
 )
 from proxitop.strong import derived_near_from_sf
-from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses, _singleton_rows
+from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses
 from proxitop.search import _pair_order, _partition_space_of, _random_topology
-from reference import axiom_witnesses, raw_strongly_far, rule_near
+from reference import axiom_witnesses, raw_strongly_far, rule_near, singleton_rows
 
 # The reference loops sweep triples of masks, so they run up to this many points.
 REFERENCE_MAX_N = 5
@@ -172,7 +172,7 @@ def test_point_generated_rules_are_reflexive():
             bases += [gap_proximity(space, metric, e) for e in (0,) + metric.distance_values()]
             bases += [point_generated_proximity(space, rel) for rel in relations]
             for prox in bases + [derived_near_from_sf(b) for b in bases]:
-                assert prox._point_rows() == _singleton_rows(n, prox._rule), prox
+                assert prox._point_rows() == singleton_rows(n, prox._rule), prox
                 for i in range(n):
                     assert prox._rule(1 << i, 1 << i), (opens, prox, i)
                 checked += 1
@@ -271,12 +271,12 @@ def test_f15_rows_in_closed_form():
             up, cl = space._open_hulls, space.closures
             hulls = tuple(up[cl[1 << i]] for i in range(n))
             overlap = overlap_proximity(space)
-            assert overlap._point_rows() == hulls == _singleton_rows(n, overlap._rule), opens
+            assert overlap._point_rows() == hulls == singleton_rows(n, overlap._rule), opens
             for top in space.closed:
                 prox = alexandroff_proximity(space, CompactnessIdeal.principal(space, top))
                 outside = space.full_mask & ~top
                 expected = tuple(h if top >> i & 1 else h | outside for i, h in enumerate(hulls))
-                assert prox._point_rows() == expected == _singleton_rows(n, prox._rule), (
+                assert prox._point_rows() == expected == singleton_rows(n, prox._rule), (
                     opens, top,
                 )
                 cases += 1

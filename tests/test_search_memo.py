@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from proxitop import cli, hyperspace, proximity, serialize
+from proxitop import cli, serialize
 from proxitop.modelfile import Model
-from proxitop.proximity import CLASS_NOT_BASIC, ProximityRelation, _singleton_rows, check_axioms
+from proxitop.proximity import CLASS_NOT_BASIC, ProximityRelation, check_axioms
 from proxitop.search import (
     KIND_EXHAUSTIVE_CAPS,
     SAMPLES_PER_STAGE,
@@ -60,7 +60,8 @@ def test_search_matches_the_naive_loop(name, max_n, seed, budget):
 def test_twins_get_the_same_outcome():
     """Candidates sharing (opens, R) get the same verdict from every
     target test and determine the same number of pairs, which reading R
-    alone already sets."""
+    alone already sets. The three basic tables (n <= 2) are twins of
+    point relations."""
     twins = 0
     for name, test in _TARGET_TESTS.items():
         first = {}
@@ -83,7 +84,7 @@ def test_twins_get_the_same_outcome():
             else:
                 first[key] = got
         assert len(first) == 1 + 4 + 22 + 153, name
-    assert twins == 6 * (370 - 180)
+    assert twins == 6 * (370 + 3 - 180)
 
 
 def test_repeats_are_not_tested(monkeypatch):
@@ -159,13 +160,17 @@ def test_stages_hold_no_models_or_relations():
 def test_stream_keys_are_the_built_models_rows(seed):
     """Each stream key is (opens, R) of the model its build gives: every
     candidate with n <= 4, and the sampled and gap stages at n = 5 and 6.
-    Tables have no key and no rows."""
+    Tables have no key, and rows exactly when they are basic."""
     counts = {}
     target = SearchTarget(TARGET_NAMES[0], n_max=6)
     for name, key, build, exhaustive in _candidates(target, seed):
         model = build()
         rows = model.proximity._point_rows()
-        assert key == (None if rows is None else (model.space.opens, rows)), name
+        if model.proximity.kind == "table":
+            assert key is None, name
+            assert (rows is not None) == check_axioms(model.proximity).is_basic, name
+        else:
+            assert key == (model.space.opens, rows), name
         n = model.space.n
         counts[n, exhaustive] = counts.get((n, exhaustive), 0) + 1
     assert sum(counts.pop((n, True)) for n in range(1, 5)) == 66 + 370
@@ -173,24 +178,35 @@ def test_stream_keys_are_the_built_models_rows(seed):
     assert counts[5, False] == counts[6, False] == 3 * SAMPLES_PER_STAGE
 
 
-def test_only_tables_read_rows_off_the_rule(monkeypatch):
-    """No constructor reads its rows off its rule: a search of every
-    target at --max-n 4 and `validate` on the overlap, Alexandroff and
-    gap models never call `_singleton_rows` except on a table."""
-    readers = []
+def test_no_relation_reads_rows_off_its_rule(monkeypatch):
+    """Every constructor, tables included, computes its point rows in
+    closed form: a search of every target at --max-n 4 and `validate` on
+    the overlap, Alexandroff and gap models make no rule call while a row
+    callback runs."""
+    asked = []
+    init = ProximityRelation.__init__
 
-    def refuse(n, near):
-        raise AssertionError("rows read off a rule")
+    def watched(self, space, kind, rule, params=None, point_rows=None):
+        reading = []
 
-    def record(n, near):
-        readers.append(near.__self__.kind)
-        return _singleton_rows(n, near)
+        def guarded(a, b):
+            assert not reading, f"{kind} read its rows off its rule"
+            return rule(a, b)
 
-    monkeypatch.setattr(proximity, "_singleton_rows", refuse)
-    monkeypatch.setattr(hyperspace, "_singleton_rows", record)
+        def rows():
+            asked.append(kind)
+            reading.append(kind)
+            try:
+                return point_rows()
+            finally:
+                reading.pop()
+
+        init(self, space, kind, guarded, params, point_rows and rows)
+
+    monkeypatch.setattr(ProximityRelation, "__init__", watched)
     for name in TARGET_NAMES:
         search(SearchTarget(name, n_max=4))
     for model in ("discrete_overlap", "alexandroff_ideal", "line_gap"):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["validate", str(MODELS / f"{model}.yaml")]) == 0
-    assert readers and set(readers) == {"table"}
+    assert {"table", "point_relation", "gap", "alexandroff", "overlap"} <= set(asked)

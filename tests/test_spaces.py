@@ -33,6 +33,7 @@ from proxitop import (
     table_proximity,
     validate_topology,
 )
+from proxitop.hyperspace import _compare_miss_halves
 from proxitop.search import enumerate_topologies
 from reference import scan_closure, smallest_open_superset, triangle_failure
 from strategies import space_strategy
@@ -203,6 +204,27 @@ class TestFamilyThatIsNotATopology:
             lambda: miss_set(space, 0b001),
             lambda: check_axioms(table),
             lambda: strongly_far(table, 0b001, 0b010),
+            lambda: check_far_vs_sf(table),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidTopologyError) as info:
+                call()
+            assert info.value.report == validate_topology(space)
+
+    def test_basic_table_answers_pairs_and_nothing_else(self):
+        # The table reads its point rows off its pairs and no closure, so
+        # `near` and `far` answer; every layer that needs a topology refuses.
+        space = self.broken
+        near = [(a, b) for a in range(1, 8) for b in range(a, 8) if a & b]
+        table = table_proximity(space, near)
+        assert table._point_rows() == (0b001, 0b010, 0b100)
+        assert table.near(0b011, 0b110) and table.far(0b001, 0b010)
+        calls = [
+            lambda: check_axioms(table),
+            lambda: strongly_far(table, 0b001, 0b010),
+            lambda: build_topology(space, "far_miss_only", prox=table),
+            lambda: build_topology(space, "sf_miss", prox=table),
+            lambda: _compare_miss_halves(table),
             lambda: check_far_vs_sf(table),
         ]
         for call in calls:
