@@ -448,18 +448,19 @@ def _table_rows(n: int, table: frozenset[tuple[int, int]]) -> Optional[tuple[int
     diagonal ones (a, a). Otherwise None.
     """
     rows = [0] * n
-    for a, b in table:
-        if a and b and not a & a - 1 and not b & b - 1:
-            rows[a.bit_length() - 1] |= b
-            rows[b.bit_length() - 1] |= a
+    for i in range(n):
+        for j in range(i, n):
+            if (1 << i, 1 << j) in table:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     if any(not row >> i & 1 for i, row in enumerate(rows)):
         return None
     nbhd = union_table(rows)
-    if any(not nbhd[a] & b for a, b in table):
-        return None
     size = 1 << n
     generated = sum(size - (size >> na.bit_count()) for na in nbhd) + size - 1
-    return tuple(rows) if 2 * len(table) == generated else None
+    if 2 * len(table) != generated or any(not nbhd[a] & b for a, b in table):
+        return None
+    return tuple(rows)
 
 
 def table_proximity(
