@@ -29,9 +29,10 @@ point relations overlap). Within one `search` call each key is therefore
 tested once: a repeat cannot be a witness, since the search would have
 stopped at its first twin, so it is counted in `models_checked` and its
 2^n (2^n + 1) / 2 pairs in `evaluations`, but not built. Every target's
-witness is basic, so a table is tested only once P0-P3 pass on it; a
-basic table has point rows, and reading them settles it on every pair,
-which the count of pairs would read anyway.
+witness is basic, so a table is tested only when it has point rows,
+which it has exactly when it is basic (F10); either way it is counted
+with all its pairs, which reading its rows or its axiom report
+determines.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .proximity import (
     CLASS_LODATO,
     CompactnessIdeal,
     PointRelation,
-    ProximityRelation,
     _alexandroff_rows,
     _gap_rows,
     alexandroff_proximity,
@@ -521,13 +521,6 @@ _TARGET_TESTS = {
 # -- the search loop ----------------------------------------------------
 
 
-def _is_basic(prox: ProximityRelation) -> bool:
-    """P0-P3, which every target's witness needs: a table passes iff it
-    has point rows, and one that does not settles on its matrix."""
-    report = check_axioms(prox, axioms=("P0", "P1", "P2", "P3"))
-    return all(v.passed for v in report.verdicts.values())
-
-
 def search(
     target: SearchTarget | str,
     *,
@@ -569,8 +562,12 @@ def search(
         model = build()
         if key is not None:
             tested.add(key)
-        witness = test(model) if key is not None or _is_basic(model.proximity) else None
-        evaluations += model.proximity.eval_count
+        # Every target's witness is basic, and a relation is basic iff it
+        # has point rows (F10 for tables). Reading them determines every
+        # pair, as testing a twin does.
+        witness = test(model) if model.proximity._point_rows() is not None else None
+        size = 1 << model.space.n
+        evaluations += size * (size + 1) // 2
         if witness is not None:
             return SearchOutcome(
                 target, STATUS_WITNESS, budget, seed, evaluations, models_checked,
