@@ -326,12 +326,20 @@ def compare(left: HyperTopologyBase, right: HyperTopologyBase) -> ComparisonResu
 
 def _compare_miss_halves(prox: ProximityRelation) -> ComparisonResult:
     """`compare` of the far_miss_only and sf_miss_only topologies of a
-    basic relation, building neither subbase."""
+    basic relation, building neither subbase.
+
+    sf-miss(R) is far-miss(R∘R) (F2), so where N∘N = N the halves are
+    equal and neither is built.
+    """
     space = prox.space
+    space._require_topology()  # the equal-halves return reads no hull
     near = _require_neighbourhoods(prox, "compare")
+    twice = [near[m] for m in near]
+    if twice == near:
+        return _comparison(RefinesResult(True), RefinesResult(True))
     far, sf = (
         _closed_form_neighbourhoods(space, _missed_unions(space, nbhd, space.full_mask), False)
-        for nbhd in (near, [near[m] for m in near])
+        for nbhd in (near, twice)
     )
     return _comparison(_refines_pointwise(far, sf), _refines_pointwise(sf, far))
 

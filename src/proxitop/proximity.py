@@ -200,34 +200,17 @@ def _mask_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # -- concrete constructors --------------------------------------------
 
 
-def _overlap_rows(space: GroundSpace) -> tuple[int, ...]:
-    """R(i) = U(cl{i}), the points whose closure meets cl{i} (F15).
-
-    p is in cl{j} iff j is in U_p, the minimal open neighbourhood of p,
-    so cl{i} meets cl{j} iff j lies in the union of the U_p holding i,
-    which is U(cl{i}). O(n^2), with no 2^n table. Needs a topology.
-    """
-    space._require_topology()
-    ups = space._minimal_neighbourhoods
-    rows = []
-    for i in range(len(ups)):
-        row = 0
-        for u in ups:
-            if u >> i & 1:
-                row |= u
-        rows.append(row)
-    return tuple(rows)
-
-
 def _alexandroff_rows(space: GroundSpace, top: int) -> tuple[int, ...]:
     """R(i) = U(cl{i}), joined by X\\top when i lies outside `top` (F15).
 
     For the principal ideal below the closed set `top`, cl{j} is a member
-    iff cl{j} lies in `top`, iff j does.
+    iff cl{j} lies in `top`, iff j does. The U(cl{i}) are cached on the
+    space, so this is an O(n) join.
     """
     outside = space.full_mask ^ top
     return tuple(
-        row if top >> i & 1 else row | outside for i, row in enumerate(_overlap_rows(space))
+        row if top >> i & 1 else row | outside
+        for i, row in enumerate(space._point_closure_hulls)
     )
 
 
@@ -248,7 +231,7 @@ def overlap_proximity(space: GroundSpace) -> ProximityRelation:
         return closure(space, a) & closure(space, b) != 0
 
     return ProximityRelation(
-        space, "overlap", rule, point_rows=lambda: _overlap_rows(space)
+        space, "overlap", rule, point_rows=lambda: space._point_closure_hulls
     )
 
 
@@ -611,9 +594,18 @@ class ProximityAxiomReport:
         return self.classification == CLASS_EF
 
 
+# The one passing verdict every report shares (verdicts are frozen).
+_PASSED = AxiomVerdict(True)
+
+# The axioms a classification reads; a report missing one is "partial".
+_CLASSIFYING = frozenset(("P0", "P1", "P2", "P3", "P4", "EF"))
+
+# The axioms that fail exactly where N(N(a)) != N(a) (`_point_witnesses`).
+_CLOSURE_AXIOMS = frozenset(("P4", "EF", "EF-betweenness"))
+
+
 def _classify(v: dict[str, AxiomVerdict]) -> str:
-    basic = all(v[p].passed for p in ("P0", "P1", "P2", "P3"))
-    if not basic:
+    if not (v["P0"].passed and v["P1"].passed and v["P2"].passed and v["P3"].passed):
         return CLASS_NOT_BASIC
     if v["EF"].passed:
         return CLASS_EF
@@ -640,10 +632,13 @@ def check_axioms(
     order (tuples lexicographic). Needs a topology.
     """
     prox.space._require_topology()
-    wanted = set(axioms)
-    requested = tuple(a for a in AXIOM_NAMES if a in wanted)
-    if not requested:
-        raise ToolkitError("no axioms requested")
+    if axioms is AXIOM_NAMES:  # the default is in order and not empty
+        requested = AXIOM_NAMES
+    else:
+        wanted = set(axioms)
+        requested = tuple(a for a in AXIOM_NAMES if a in wanted)
+        if not requested:
+            raise ToolkitError("no axioms requested")
     n = prox.space.n
     nbhd = prox._neighbourhoods()
     if nbhd is not None:
@@ -653,8 +648,11 @@ def check_axioms(
     else:
         witnesses = _matrix_witnesses(prox, requested)
 
-    verdicts = {name: AxiomVerdict(witnesses[name] is None, witnesses[name]) for name in requested}
-    if all(p in verdicts for p in ("P0", "P1", "P2", "P3", "P4", "EF")):
+    verdicts = {}
+    for name in requested:
+        w = witnesses[name]
+        verdicts[name] = _PASSED if w is None else AxiomVerdict(False, w)
+    if verdicts.keys() >= _CLASSIFYING:
         classification = _classify(verdicts)
     else:
         classification = "partial"
@@ -694,7 +692,7 @@ def _point_witnesses(nbhd: list[int], n: int, requested: tuple[str, ...]) -> dic
             if later:
                 out["P5"] = (1 << i, later & -later)
                 break
-    if {"P4", "EF", "EF-betweenness"}.intersection(requested):
+    if not _CLOSURE_AXIOMS.isdisjoint(requested):
         a = next((a for a, na in enumerate(nbhd) if nbhd[na] != na), None)
         if a is not None:
             na = nbhd[a]

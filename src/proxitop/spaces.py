@@ -318,6 +318,25 @@ class GroundSpace:
         return tuple(union_table(self._minimal_neighbourhoods))
 
     @cached_property
+    def _point_closure_hulls(self) -> tuple[int, ...]:
+        """Per point i, U(cl{i}), the points whose closure meets cl{i} (F15).
+
+        p is in cl{j} iff j is in U_p, so cl{i} meets cl{j} iff j lies in
+        the union of the U_p holding i, which is U(cl{i}). O(n^2), with no
+        2^n table. These are the overlap relation's point rows.
+        """
+        self._require_topology()
+        ups = self._minimal_neighbourhoods
+        rows = []
+        for i in range(self.n):
+            row = 0
+            for u in ups:
+                if u >> i & 1:
+                    row |= u
+            rows.append(row)
+        return tuple(rows)
+
+    @cached_property
     def closures(self) -> tuple[int, ...]:
         """Per mask m, the meet of the closed supersets of m.
 

@@ -34,7 +34,11 @@ of every family, the filters the enumerations ran before they marked
 each orbit as seen.
 
 `naive_search` is the model searcher's loop before it tested each
-(topology, point relation) once per call: every candidate is tested.
+(topology, point relation) once per call: every candidate gets an axiom
+report and its target test, as every target test once began with one.
+`point_closure_hulls` is the O(n^2) loop over the minimal neighbourhoods
+that the overlap and Alexandroff rows ran on every call before the
+space cached U(cl{i}).
 
 `subbase_neighbourhoods` is the walk over a subbase that minimal
 hyperspace neighbourhoods took before each spec read them off one
@@ -47,7 +51,7 @@ before they read them off their pairs.
 from itertools import permutations
 
 from proxitop.hyperspace import far_miss_set, sf_miss_set
-from proxitop.proximity import AXIOM_NAMES
+from proxitop.proximity import AXIOM_NAMES, check_axioms
 from proxitop.search import (
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
@@ -469,6 +473,7 @@ def naive_search(target, budget, seed):
                 notes=(f"budget ran out before {name}",),
             )
         all_exhaustive = all_exhaustive and exhaustive_stage
+        check_axioms(model.proximity)
         witness = test(model)
         evaluations += model.proximity.eval_count
         models_checked += 1
@@ -483,3 +488,16 @@ def naive_search(target, budget, seed):
         target, STATUS_BUDGET, budget, seed, evaluations, models_checked,
         notes=("sampled stages ran; candidate space not exhausted",),
     )
+
+
+def point_closure_hulls(space):
+    """Per point i, the union of the U_p holding i."""
+    ups = space._minimal_neighbourhoods
+    rows = []
+    for i in range(space.n):
+        row = 0
+        for u in ups:
+            if u >> i & 1:
+                row |= u
+        rows.append(row)
+    return tuple(rows)

@@ -3,14 +3,16 @@
 Every target test on a point-generated candidate reads only the
 topology and the point rows R, so `search` tests the first candidate
 with a given (opens, R) and counts its repeats without building them,
-and it tests no table that fails P0-P3. The seed-independent stages
-are built once per process.
+and it tests no table that fails P0-P3. A tested candidate gets at most
+one axiom report, and `incomparable-topologies` gets none. The
+seed-independent stages are built once per process.
 `test_search_matches_the_naive_loop` compares it with
 `reference.naive_search`, which tests every candidate;
 `test_twins_get_the_same_outcome` checks the premise on every candidate
 with n <= 4.
 """
 
+import importlib
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -112,6 +114,60 @@ def test_repeats_are_not_tested(monkeypatch):
     }
     assert len(tables) - len(basic) == 63
     assert tested == basic
+
+
+# (target, --max-n, axiom reports at seed 1): 183 = 180 distinct keys and
+# 3 basic tables at n <= 4; 233 adds the 50 distinct keys among the 65
+# candidates at n = 5.
+AXIOM_REPORTS = [
+    ("basic-not-lodato", 4, 12),
+    ("lodato-not-ef", 4, 183),
+    ("far-not-strongly-far", 4, 183),
+    ("sf-not-hat", 4, 183),
+    ("lemma37-violation", 4, 183),
+    ("incomparable-topologies", 4, 0),
+    ("far-not-strongly-far", 5, 233),
+    ("incomparable-topologies", 5, 0),
+]
+
+
+@pytest.mark.parametrize("name, max_n, reports", AXIOM_REPORTS)
+def test_axiom_reports_per_search(name, max_n, reports, monkeypatch):
+    """A tested candidate gets at most one axiom report, and none where
+    its point rows settle the target: `incomparable-topologies` gates on
+    the rows alone. The other targets read P4 or EF witnesses, and the
+    two sweeps the Lodato class, off the report."""
+    calls = []
+
+    def counted(prox, **kwargs):
+        calls.append(prox)
+        return check_axioms(prox, **kwargs)
+
+    for module in ("search", "strong"):
+        monkeypatch.setattr(importlib.import_module(f"proxitop.{module}"), "check_axioms", counted)
+    search(SearchTarget(name, n_max=max_n), seed=1)
+    assert len(calls) == reports
+    assert len({id(prox) for prox in calls}) == reports
+
+
+def test_incomparable_builds_no_matrix(monkeypatch):
+    """No relation gets a dense matrix while `incomparable-topologies`
+    runs: not in a search, and not when its test sees every candidate,
+    the 63 tables that are not basic included."""
+    built = []
+    matrix = ProximityRelation.matrix
+
+    def counted(self):
+        built.append(self.kind)
+        return matrix(self)
+
+    monkeypatch.setattr(ProximityRelation, "matrix", counted)
+    target = SearchTarget("incomparable-topologies", n_max=4)
+    search(target, seed=1)
+    test = _TARGET_TESTS[target.name]
+    for _, model, _ in candidate_models(target, 1):
+        test(model)
+    assert built == []
 
 
 @pytest.mark.parametrize("name", TARGET_NAMES[1:])

@@ -1,6 +1,7 @@
 """Core space machinery: masks, topologies, closure and interior."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,14 @@ from proxitop import (
     validate_topology,
 )
 from proxitop.hyperspace import _compare_miss_halves
+from proxitop.proximity import _alexandroff_rows
 from proxitop.search import enumerate_topologies
-from reference import scan_closure, smallest_open_superset, triangle_failure
+from reference import (
+    point_closure_hulls,
+    scan_closure,
+    smallest_open_superset,
+    triangle_failure,
+)
 from strategies import space_strategy
 
 
@@ -294,6 +301,29 @@ class TestPointClosureTables:
             assert built.topology_report == explicit.topology_report == validate_topology(built)
             assert built.closures == explicit.closures
             assert built._open_hulls == explicit._open_hulls
+
+    def test_point_closure_hulls_match_the_loop(self):
+        """The cached U(cl{i}) equal the O(n^2) loop over the U_p and the
+        hull of each point closure, on every labelled topology with n <= 4;
+        reading them changes neither equality nor hashing."""
+        for n in range(1, 5):
+            for opens in enumerate_topologies(n):
+                space = GroundSpace.create(n, opens)
+                fresh = GroundSpace.create(n, opens)
+                rows = space._point_closure_hulls
+                assert rows == point_closure_hulls(space), opens
+                assert rows == tuple(space._open_hulls[closure(space, 1 << i)] for i in range(n))
+                assert space._point_closure_hulls is rows
+                assert space == fresh and hash(space) == hash(fresh)
+        assert [f.name for f in fields(GroundSpace)] == ["points", "opens"]
+
+    def test_point_closure_hulls_refuse_a_non_topology_on_every_read(self):
+        space = TestFamilyThatIsNotATopology.broken
+        for read in [lambda: space._point_closure_hulls, lambda: _alexandroff_rows(space, 0)] * 2:
+            with pytest.raises(InvalidTopologyError) as info:
+                read()
+            assert info.value.report == validate_topology(space)
+        assert "_point_closure_hulls" not in vars(space)
 
     def test_preorder_constructor_refuses_a_non_preorder(self):
         with pytest.raises(ToolkitError, match="must hold it"):
