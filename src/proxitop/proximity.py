@@ -90,7 +90,7 @@ class ProximityRelation:
         self._singletons: Optional[tuple[int, ...]] = None
         self._nbhd: Optional[list[int]] = None
         # Where it gives rows, the rule is additive with that reflexive,
-        # symmetric R, which the axiom kernel relies on. Cleared once asked.
+        # symmetric R, which the axiom kernel relies on. Cleared once answered.
         self._pending_rows = point_rows
 
     def near(self, a: int, b: int) -> bool:
@@ -111,14 +111,14 @@ class ProximityRelation:
     def _point_rows(self) -> Optional[tuple[int, ...]]:
         """The point rows R, or None unless the relation is point-generated.
 
-        The constructor's `point_rows` is asked on the first call only;
-        reading R settles the relation, so `eval_count` counts every pair
-        from then on.
+        The constructor's `point_rows` is asked until it returns, so a
+        callback that raises raises again on the next call; reading R
+        settles the relation, so `eval_count` counts every pair from then on.
         """
         pending = self._pending_rows
         if pending is not None:
-            self._pending_rows = None
             rows = pending()
+            self._pending_rows = None
             if rows is not None:
                 size = 1 << self.space.n
                 self._singletons = rows
@@ -167,6 +167,14 @@ def _require_neighbourhoods(prox: ProximityRelation, operation: str) -> list[int
     relation derived from one."""
     nbhd = prox._neighbourhoods()
     if nbhd is None:
+        if prox.kind == "derived-sf":
+            # The derived relation may itself be basic; its rows are read
+            # off its base's, and the base has none.
+            raise InvalidModelError(
+                f"{operation} needs point rows; this derived-sf relation has none "
+                f"because its {prox.params['base']} base is not a basic proximity (P0-P3)",
+                "proximity",
+            )
         raise InvalidModelError(
             f"{operation} needs a basic proximity (P0-P3); "
             "run the validate command for the axiom report",

@@ -266,6 +266,40 @@ class TestRobustness:
         assert f"replay[0].{where}: expected" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_near_list_exit_2(self, tmp_path):
+        # sequences are built without Python recursion, however deep
+        deep = "[" * 20_000 + "]" * 20_000
+        path = tmp_path / "deep.yaml"
+        path.write_text(
+            f"points: [x, y]\ntopology: discrete\nproximity:\n  kind: table\n"
+            f"  near: [[{deep}, [x]]]\n"
+        )
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == "parse error: proximity.near[0][0][0]: expected a point name or index\n"
+
+    def test_recursive_alias_exit_2(self, tmp_path):
+        path = tmp_path / "alias.yaml"
+        path.write_text("points: &a [x, *a]\ntopology: discrete\nproximity: {kind: overlap}\n")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == "parse error: points[1]: expected a point name, got list\n"
+
+    @pytest.mark.parametrize("other", ["true", "1.0"])
+    @pytest.mark.parametrize("index_first", [True, False])
+    def test_index_subset_does_not_vouch_for_an_equal_key(self, tmp_path, other, index_first):
+        # 1 == 1.0 == True, but only the integer is a point index
+        first, second = ("1", other) if index_first else (other, "1")
+        path = tmp_path / "keys.yaml"
+        path.write_text(
+            "points: [x, y]\ntopology: discrete\nproximity:\n  kind: table\n"
+            f"  near: [[[{first}], [x]], [[{second}], [x]]]\n"
+        )
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        where = "proximity.near[1][0][0]" if index_first else "proximity.near[0][0][0]"
+        assert err == f"parse error: {where}: expected a point name or index\n"
+
     def test_non_utf8_file_exit_2(self, tmp_path):
         path = tmp_path / "latin1.yaml"
         path.write_bytes("points: [\xe9]\n".encode("latin-1"))

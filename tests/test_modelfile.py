@@ -6,9 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
+from strategies import space_strategy
 
-from proxitop import InvalidModelError, all_masks, parse, serialize
+from proxitop import InvalidModelError, all_masks, modelfile, parse, serialize
 from proxitop.modelfile import Model, _emit_inline_list, model_digest, parse_file
 from proxitop.proximity import (
     CompactnessIdeal,
@@ -196,6 +198,116 @@ class TestRoundTripProperty:
         text = serialize(model)
         assert text.splitlines()[-1] == f"    args: {{a: A, b: A, c: {json.dumps(value)}}}"
         assert parse(text).replay == (step,)
+
+
+def one_pass(base):
+    """`modelfile._Loader` built over another base loader."""
+    loader = type(f"OnePass{base.__name__}", (base,), {})
+    loader.add_constructor("tag:yaml.org,2002:seq", modelfile._construct_seq)
+    return loader
+
+
+# (the one-pass loader, the loader it must agree with): libyaml's and the
+# pure-Python fallback's
+LOADER_PAIRS = [
+    (modelfile._Loader, modelfile._YAML_LOADER),
+    (one_pass(yaml.SafeLoader), yaml.SafeLoader),
+]
+
+
+def typed(value):
+    """`value` with every node tagged by its exact type: `True == 1 == 1.0`, but
+    their tagged forms differ."""
+    if isinstance(value, list):
+        return ("list", [typed(v) for v in value])
+    if isinstance(value, dict):
+        return (type(value).__name__, [(typed(k), typed(v)) for k, v in value.items()])
+    return (type(value).__name__, value)
+
+
+def loaded(text, loader):
+    try:
+        return typed(yaml.load(text, Loader=loader))
+    except Exception as exc:  # `!!int x` raises ValueError, not a YAMLError
+        return ("error", type(exc).__name__, str(exc))
+
+
+def assert_same_documents(text):
+    for ours, plain in LOADER_PAIRS:
+        assert loaded(text, ours) == loaded(text, plain), (plain.__name__, text)
+
+
+# Scalars of every resolved type inside sequences, explicit tags, anchors,
+# merge keys, and the sequence errors the constructor must word as before.
+EDGE_TEXTS = [
+    "[a, 'b', \"c\", 1, -2, 0x1f, 1.5, .inf, true, no, null, ~, '', 2001-12-14]",
+    "[!!str 1, !!str true, !!int '3', !!float 1, !!bool yes, !!null '']",
+    "[[], [[]], [[a], [b, [c, [d]]]], {k: [v, [w]]}, [{}, {a: [1]}]]",
+    "a: &s [x, y]\nb: [*s, *s]\nc: &t x\nd: [*t, *t]\n",
+    "base: &b {k: [1, 2]}\nmerged: {<<: *b, j: [x]}\n",
+    "- a\n- - b\n  - c\n- [d, e]\n",
+    "!!seq [a, !!seq [b]]",
+    "!!set {a, b}",
+    "[!!binary aGVsbG8=, !!omap [a: 1, b: 2], !!pairs [a: 1]]",
+    "!!seq x",
+    "!!seq {a: 1}",
+    "[[x], !!seq y]",
+    "{[a]: 1}",
+    "[!!int x]",
+    "[a, *missing]",
+    "[a, [b",
+    "",
+    "[" * 200 + "]" * 200,
+]
+
+
+class TestLoaderParity:
+    """The one-pass loader builds the documents plain `yaml.SafeLoader` builds."""
+
+    def test_loader_pairs_mirror_the_module_loader(self):
+        assert modelfile._Loader.__bases__ == (modelfile._YAML_LOADER,)
+        seq = modelfile._Loader.yaml_constructors["tag:yaml.org,2002:seq"]
+        assert seq is modelfile._construct_seq
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_edge_texts(self, text):
+        assert_same_documents(text)
+
+    @pytest.mark.parametrize("ours,plain", LOADER_PAIRS)
+    def test_recursive_alias_is_the_list_itself(self, ours, plain):
+        for loader in (ours, plain):
+            doc = yaml.load("points: &a [x, *a]\n", Loader=loader)
+            assert doc["points"][0] == "x" and doc["points"][1] is doc["points"]
+
+    def test_model_files(self):
+        for path in sorted(MODELS.glob("*.yaml")):
+            assert_same_documents(path.read_text(encoding="utf-8"))
+
+    def test_corpus_models(self, corpus):
+        for m in corpus:
+            if m.prox.kind != "constant":  # no file form
+                metric = m.prox.params.get("metric")
+                assert_same_documents(serialize(Model(m.space, m.prox, metric)))
+
+    def test_every_search_candidate_up_to_four_points(self):
+        target = SearchTarget(TARGET_NAMES[0], n_max=4)
+        for _, model, _ in candidate_models(target, 0):
+            assert_same_documents(serialize(model))
+
+    def test_five_point_table(self):
+        assert_same_documents(serialize(five_point_table()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=models())
+    def test_drawn_models(self, model):
+        assert_same_documents(serialize(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=space_strategy(max_n=5), data=st.data())
+    def test_drawn_spaces_with_tables(self, space, data):
+        masks = st.integers(min_value=0, max_value=space.full_mask)
+        near = data.draw(st.lists(st.tuples(masks, masks), max_size=12))
+        assert_same_documents(serialize(Model(space, table_proximity(space, near))))
 
 
 def parse_err(text):

@@ -7,8 +7,10 @@ from proxitop import (
     CapExceededError,
     CompactnessIdeal,
     GroundSpace,
+    InvalidTopologyError,
     Metric,
     PointRelation,
+    PointSet,
     ToolkitError,
     all_masks,
     bits_of,
@@ -348,6 +350,20 @@ class TestConstructorInvariants:
         space = GroundSpace.discrete(n)
         report = check_axioms(gap_proximity(space, Metric.line(n), eps))
         assert report.passed("P0") and report.passed("P1")
+
+
+class TestPointRowsOnANonTopology:
+    # {0} and {1} are open but their union is not
+    @pytest.mark.parametrize(
+        "build",
+        [overlap_proximity, lambda s: alexandroff_proximity(s, CompactnessIdeal.all_closed(s))],
+        ids=["overlap", "alexandroff"],
+    )
+    def test_every_call_raises(self, build):
+        prox = build(GroundSpace(PointSet(3), (0, 0b001, 0b010, 0b111)))
+        for _ in range(2):
+            with pytest.raises(InvalidTopologyError, match="not a topology"):
+                prox._point_rows()
 
 
 class TestFiniteCollapse:

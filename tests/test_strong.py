@@ -6,6 +6,7 @@ from proxitop import (
     CapExceededError,
     CompactnessIdeal,
     GroundSpace,
+    InvalidModelError,
     Metric,
     PointRelation,
     all_masks,
@@ -15,6 +16,7 @@ from proxitop import (
     check_inclusion_containment,
     check_sf_implies_hat,
     derived_near_from_sf,
+    far_miss_set,
     gap_proximity,
     hat_strongly_far,
     overlap_proximity,
@@ -22,6 +24,7 @@ from proxitop import (
     strongly_far,
     strongly_included,
 )
+from proxitop.search import _table_models
 from proxitop.strong import replay_hat_strongly_far, replay_strongly_far
 
 
@@ -168,6 +171,23 @@ class TestDerivedRelation:
         derived = derived_near_from_sf(base)
         report = check_axioms(derived, axioms=("P0", "P1", "P2", "P3"))
         assert all(report.passed(p) for p in ("P0", "P1", "P2", "P3"))
+
+
+    def test_base_without_point_rows_is_named(self):
+        # the table is not basic, yet the relation derived from it is
+        base = dict(_table_models(2))["n2/table/62"].proximity
+        derived = derived_near_from_sf(base)
+        assert not check_axioms(base).is_basic and check_axioms(derived).is_basic
+        for operation, call in (
+            ("check_far_vs_sf", lambda: check_far_vs_sf(derived)),
+            ("far_miss_set", lambda: far_miss_set(derived, 0b01)),
+        ):
+            with pytest.raises(InvalidModelError) as exc:
+                call()
+            assert str(exc.value) == (
+                f"proximity: {operation} needs point rows; this derived-sf relation has "
+                "none because its table base is not a basic proximity (P0-P3)"
+            )
 
 
 class TestSfImpliesHat:
