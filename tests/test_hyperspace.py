@@ -222,8 +222,30 @@ class TestBuildTopology:
     def test_unknown_kind(self, discrete3):
         from proxitop import ToolkitError
 
-        with pytest.raises(ToolkitError):
+        with pytest.raises(ToolkitError) as info:
             build_topology(discrete3, "nonsense")
+        assert info.type is ToolkitError
+        assert str(info.value) == "unknown topology kind 'nonsense'"
+
+    @pytest.mark.parametrize(
+        "kind,kwargs,message",
+        [
+            ("far_miss", {}, "far_miss topology needs a proximity"),
+            ("sf_miss_only", {}, "sf_miss topology needs a proximity"),
+            ("fell", {}, "fell topology needs a compactness ideal"),
+            ("hit_and_miss", {}, "hit_and_miss topology needs a family of closed sets"),
+            ("hit_and_miss", {"family": (0b110, 0b001)}, "family member {p0} is not closed"),
+        ],
+    )
+    def test_refusals(self, kind, kwargs, message):
+        # each missing or bad argument, on a chain whose {p0} is not closed
+        from proxitop import ToolkitError
+
+        chain = GroundSpace.create(3, (0, 0b001, 0b011, 0b111))
+        with pytest.raises(ToolkitError) as info:
+            build_topology(chain, kind, **kwargs)
+        assert info.type is ToolkitError
+        assert str(info.value) == message
 
 
 def custom_base(space, subbase):
