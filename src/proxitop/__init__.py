@@ -35,7 +35,6 @@ from .proximity import (
     ProximityRelation,
     alexandroff_proximity,
     check_axioms,
-    constant_proximity,
     gap_proximity,
     induced_closure,
     is_compatible,

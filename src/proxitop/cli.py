@@ -20,12 +20,7 @@ from typing import Optional, Sequence
 
 from . import modelfile, report as rep
 from .errors import CapExceededError, InvalidModelError, ToolkitError
-from .hyperspace import (
-    MISS_ONLY_KINDS,
-    TOPOLOGY_KINDS,
-    build_topology,
-    compare,
-)
+from .hyperspace import MISS_ONLY_KINDS, SPECS, TOPOLOGY_KINDS, build_topology, compare
 from .modelfile import Model
 from .proximity import AXIOM_NAMES, check_axioms, is_compatible
 from .search import (
@@ -257,10 +252,13 @@ def _topology_from_spec(model: Model, spec: str, cap_hyper: Optional[int]):
         raise UsageError(
             f"unknown topology spec {spec!r}; expected one of {', '.join(_SPEC_NAMES)}"
         )
-    if spec in ("fell", "hit_and_miss") and model.ideal is None:
+    # B is every closed set for the _only kinds; the ideal's members
+    # serve as hit_and_miss's family
+    b = SPECS[spec][1] if spec in SPECS else "closed"
+    if b != "closed" and model.ideal is None:
         raise UsageError(f"topology spec {spec!r} needs an ideal in the model file")
     kwargs: dict = {"prox": model.proximity, "ideal": model.ideal}
-    if spec == "hit_and_miss":
+    if b == "family":
         kwargs["family"] = model.ideal.sorted_members()
     if cap_hyper is not None:
         kwargs["hyper_cap"] = cap_hyper

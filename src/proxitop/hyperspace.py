@@ -1,28 +1,25 @@
-"""Hyperspace CL(X) and the hit / miss / far-miss subbase machinery.
+"""Hyperspace CL(X) and its hit-and-miss topologies.
 
 CL(X) is the set of nonempty closed subsets, enumerated in ascending
 mask order; a family of hyperpoints is then a plain int, one bit per
 hyperpoint. The space caches, per mask, the family of the hyperpoints
-meeting it, so hit and miss families, and the far-miss and sf-miss
-families of a proximity, are one lookup each. Far-miss and sf-miss are
-defined for a proximity, so they refuse a relation that is not basic.
+meeting it, so each hit, miss, far-miss and sf-miss family is one
+lookup. Far-miss and sf-miss are defined for a proximity, so they
+refuse a relation that is not basic.
 
-Every topology built here is a hit-and-miss topology: the hit sets of
-every open, or none, joined with the miss sets of a family of closed
-sets. On a finite space each hyperpoint E has a minimal neighbourhood,
-and these are the smallest base: an open set is exactly a union of
-them. The miss members through E meet in the hyperpoints missing V(E),
-the union of the family's members that E misses, so every kind reads
-them off one closed form (`_closed_form_neighbourhoods`), and
-refinement is decided pointwise without enumerating a base. The
-closed form reads the space's open hulls, so it raises
-InvalidTopologyError on a family that is not a topology.
+Every topology here joins the hit sets of every open, or none, with a
+miss half {missing[N(C)] : C in B}, one (N, B) pair per kind (`SPECS`).
+On a finite space each hyperpoint has a minimal neighbourhood, and
+these are the smallest base: `_closed_form_neighbourhoods` reads them
+off one closed form (F11), so refinement is decided pointwise without
+enumerating a base. The closed form reads the space's open hulls, so it
+raises InvalidTopologyError on a family that is not a topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -136,45 +133,53 @@ class HyperTopologyBase:
         return tuple(sorted(set(self.minimal_neighbourhoods)))
 
 
-TOPOLOGY_KINDS = ("vietoris", "fell", "hit_and_miss", "far_miss", "sf_miss")
+# Each kind as its (N, B) pair: the miss half is {missing[N(C)] : C in B}
+# (F11), N being the identity, the relation's neighbourhood table or N∘N,
+# and B every closed set, the closed subsets of the ideal's top or a family.
+SPECS = {
+    "vietoris": ("identity", "closed"),
+    "fell": ("identity", "ideal"),
+    "hit_and_miss": ("identity", "family"),
+    "far_miss": ("N", "closed"),
+    "sf_miss": ("N∘N", "closed"),
+}
+TOPOLOGY_KINDS = tuple(SPECS)
 MISS_ONLY_KINDS = ("far_miss_only", "sf_miss_only")
 
 
 def _closed_form_neighbourhoods(
-    space: GroundSpace, unions: Iterable[int], hits: bool
+    space: GroundSpace, near: Sequence[int], b: int | tuple[int, ...], hits: bool
 ) -> tuple[int, ...]:
-    """Minimal neighbourhoods, per hyperpoint E, of a hit-and-miss topology
-    on CL(X), given V(E) in `unions`, joined with the hit sets of every
-    open if `hits` (F11).
+    """Minimal neighbourhoods, per hyperpoint E, of the topology with miss
+    half {missing[N(C)] : C in B}, N the additive symmetric table `near`,
+    joined with the hit sets of every open if `hits` (F11).
 
-    Each miss member is the family of hyperpoints missing some set, and
-    V(E) is the union of the sets that E misses, so the miss members
-    through E meet in the hyperpoints missing V(E); the hit sets through
-    E meet in those meeting U({x}) for each x in E, U being the
-    smallest-open-superset table.
+    E misses N(C) iff C misses N(E), so the miss members through E meet
+    in the hyperpoints missing N(V), V the union of the members of B
+    inside X \\ N(E). B is a tuple of closed sets, or an int top standing
+    for the closed subsets of top, whose V is top \\ U(N(E)) (F4), U the
+    smallest-open-superset table. The hit sets through E meet in those
+    meeting U({x}) for each x in E.
     """
     hull, meeting = space._open_hulls, space._hyperpoints_meeting
     every = (1 << len(space.nonempty_closed)) - 1
     point_hits = [meeting[hull[1 << x]] for x in range(space.n)]
+    closed_below = isinstance(b, int)
     mins = []
-    for e, v in zip(space.nonempty_closed, unions):
-        m = every ^ meeting[v]
+    for e in space.nonempty_closed:
+        ne = near[e]
+        if closed_below:
+            v = b & ~hull[ne]
+        else:
+            v = 0
+            for c in b:
+                if not c & ne:
+                    v |= c
+        m = every ^ meeting[near[v]]
         for x in bits_of(e) if hits else ():
             m &= point_hits[x]
         mins.append(m)
     return tuple(mins)
-
-
-def _missed_unions(space: GroundSpace, nbhd: Sequence[int], top: int) -> list[int]:
-    """V(E), per hyperpoint E, for the miss half {E' : E' misses N(C)} over
-    the closed C inside `top`, N additive and symmetric (F4).
-
-    The C missing N(E) are the closed subsets of K = top \\ U(N(E)), so
-    V(E) = N(K). N is the identity for Vietoris and Fell, the relation's
-    neighbourhood table for far-miss and its square N∘N for sf-miss.
-    """
-    hull = space._open_hulls
-    return [nbhd[top & ~hull[nbhd[e]]] for e in space.nonempty_closed]
 
 
 def build_topology(
@@ -186,73 +191,47 @@ def build_topology(
     family: Optional[tuple[int, ...]] = None,
     hyper_cap: int = DEFAULT_HYPER_CAP,
 ) -> HyperTopologyBase:
-    """Build a hit-and-miss style topology on CL(X) from its subbase.
+    """The hit sets of every open joined with the miss half of the kind's
+    (N, B) in `SPECS`, as a subbase and minimal neighbourhoods on CL(X).
 
-    Kinds join the hit sets of every open with a miss half:
-
-      vietoris      miss sets of every open
-      fell          miss sets of opens whose complement is in `ideal`
-      hit_and_miss  miss sets of opens whose complement is in `family`
-      far_miss      far-miss sets of every open (needs `prox`)
-      sf_miss       strongly-far-miss sets of every open (needs `prox`)
-
-    The `_only` variants (far_miss_only, sf_miss_only) drop the hit half,
-    which is what comparing the pure miss topologies calls for. The far
-    and sf kinds need a basic proximity; any other relation raises
-    InvalidModelError at `proximity`.
+    far_miss and sf_miss need `prox`, a basic proximity (any other
+    relation raises InvalidModelError at `proximity`), fell needs
+    `ideal` and hit_and_miss a `family` of closed sets. The `_only`
+    variants (far_miss_only, sf_miss_only) drop the hit half, which is
+    what comparing the pure miss topologies calls for.
     """
-    include_hits = True
-    miss_kind = kind
-    if kind in MISS_ONLY_KINDS:
-        include_hits = False
-        miss_kind = kind[: -len("_only")]
-    elif kind not in TOPOLOGY_KINDS:
+    hits = kind not in MISS_ONLY_KINDS
+    name = kind if hits else kind[: -len("_only")]
+    if name not in SPECS:
         raise ToolkitError(f"unknown topology kind {kind!r}")
+    near_name, b_name = SPECS[name]
+    enumerate_cl(space, cap=hyper_cap)  # refuses a family that is not a topology
 
-    enumerate_cl(space, cap=hyper_cap)
-    families: list[int] = []
-    if include_hits:
-        families.extend(hit_set(space, v, cap=hyper_cap) for v in space.opens)
-
-    if miss_kind in ("far_miss", "sf_miss"):
+    near: Sequence[int] = range(1 << space.n)
+    if near_name != "identity":
         if prox is None:
-            raise ToolkitError(f"{miss_kind} topology needs a proximity")
-        nbhd = _require_neighbourhoods(prox, f"{miss_kind} topology")
-        if miss_kind == "far_miss":
-            families.extend(far_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
-        else:
-            families.extend(sf_miss_set(prox, a, cap=hyper_cap) for a in space.opens)
-            nbhd = [nbhd[m] for m in nbhd]  # sf-miss is the far-miss half of N∘N
-        unions = _missed_unions(space, nbhd, space.full_mask)
-    elif miss_kind == "hit_and_miss":
+            raise ToolkitError(f"{name} topology needs a proximity")
+        near = _require_neighbourhoods(prox, f"{name} topology")
+        if near_name == "N∘N":
+            near = [near[m] for m in near]
+    b: int | tuple[int, ...] = space.full_mask
+    if b_name == "ideal":
+        if ideal is None:
+            raise ToolkitError(f"{name} topology needs a compactness ideal")
+        b = ideal.top
+    elif b_name == "family":
         if family is None:
-            raise ToolkitError("hit_and_miss topology needs a family of closed sets")
+            raise ToolkitError(f"{name} topology needs a family of closed sets")
         for c in family:
             if not space.is_closed(c):
                 raise ToolkitError(f"family member {space.format(c)} is not closed")
-        families.extend(miss_set(space, space.complement(c), cap=hyper_cap) for c in family)
-        unions = []
-        for e in space.nonempty_closed:
-            v = 0
-            for c in family:
-                if not c & e:
-                    v |= c
-            unions.append(v)
-    else:
-        top = space.full_mask
-        if miss_kind == "fell":
-            if ideal is None:
-                raise ToolkitError("fell topology needs a compactness ideal")
-            top = ideal.top
-        families.extend(
-            miss_set(space, w, cap=hyper_cap)
-            for w in space.opens
-            if miss_kind == "vietoris" or space.complement(w) in ideal
-        )
-        unions = _missed_unions(space, range(1 << space.n), top)
+        b = family
 
-    mins = _closed_form_neighbourhoods(space, unions, include_hits)
-    return HyperTopologyBase(space, kind, tuple(sorted(set(families))), mins)
+    members = [c for c in space.closed if not c & ~b] if isinstance(b, int) else b
+    families = {space._hyperpoints_meeting[v] for v in space.opens} if hits else set()
+    families.update(_missing(space, near[c]) for c in members)
+    mins = _closed_form_neighbourhoods(space, near, b, hits)
+    return HyperTopologyBase(space, kind, tuple(sorted(families)), mins)
 
 
 @dataclass(frozen=True)
@@ -338,7 +317,7 @@ def _compare_miss_halves(prox: ProximityRelation) -> ComparisonResult:
     if twice == near:
         return _comparison(RefinesResult(True), RefinesResult(True))
     far, sf = (
-        _closed_form_neighbourhoods(space, _missed_unions(space, nbhd, space.full_mask), False)
+        _closed_form_neighbourhoods(space, nbhd, space.full_mask, False)
         for nbhd in (near, twice)
     )
     return _comparison(_refines_pointwise(far, sf), _refines_pointwise(sf, far))

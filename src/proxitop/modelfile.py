@@ -93,6 +93,28 @@ def _construct_seq(loader, node):
 
 _Loader.add_constructor("tag:yaml.org,2002:seq", _construct_seq)
 
+
+class _ModelLoader(_Loader):
+    """`_Loader`, but a scalar tagged as a type it cannot be read as
+    (`!!int x`) is a YAML error at that scalar, not a traceback."""
+
+
+def _checked_scalar(construct):
+    def checked(loader, node):
+        try:
+            return construct(loader, node)
+        except (ValueError, KeyError, AttributeError):  # SafeConstructor's, for `!!int x`
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {node.value!r} as {node.tag}", node.start_mark
+            ) from None
+
+    return checked
+
+
+for _tag in ("int", "float", "bool", "timestamp"):
+    _tag = f"tag:yaml.org,2002:{_tag}"
+    _ModelLoader.add_constructor(_tag, _checked_scalar(_Loader.yaml_constructors[_tag]))
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
 PROXIMITY_KINDS = ("overlap", "gap", "alexandroff", "table", "point_relation")
@@ -393,7 +415,7 @@ TOP_LEVEL_FIELDS = ("points", "topology", "metric", "proximity", "subsets", "rep
 def parse(text: str) -> Model:
     """Parse and validate a model file; raise InvalidModelError on any defect."""
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        doc = yaml.load(text, Loader=_ModelLoader)
     except yaml.YAMLError as exc:
         where = ""
         if hasattr(exc, "problem_mark") and exc.problem_mark is not None:

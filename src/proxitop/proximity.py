@@ -483,14 +483,6 @@ def table_proximity(
     )
 
 
-def constant_proximity(space: GroundSpace) -> ProximityRelation:
-    """Every pair of nonempty sets is near: every row is X."""
-    return ProximityRelation(
-        space, "constant", lambda a, b: a != 0 and b != 0,
-        point_rows=lambda: (space.full_mask,) * space.n,
-    )
-
-
 # -- induced closure and compatibility ---------------------------------
 
 
@@ -538,6 +530,8 @@ def kuratowski_violations(n: int, cl: Callable[[int], int]) -> list[tuple[str, t
 
     Independent of any space or relation machinery: it only calls `cl` on
     masks over an n-point set and reports (axiom, witness) violations.
+    No verb calls it; acceptance criterion 01 (the induced closure of a
+    compatible Lodato model is a Kuratowski closure) checks with it.
     """
     out = []
     if cl(0) != 0:

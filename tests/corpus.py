@@ -19,7 +19,6 @@ from proxitop import (
     PointRelation,
     ProximityRelation,
     alexandroff_proximity,
-    constant_proximity,
     enumerate_point_relations,
     enumerate_topologies,
     gap_proximity,
@@ -132,10 +131,14 @@ def build_corpus() -> list[CorpusModel]:
                 CorpusModel(f"alex-rand-n{n}-{k}", space, alexandroff_proximity(space, ideal))
             )
 
-    # the everything-near relation, which is EF but not separated
+    # the everything-near relation, generated by the complete point
+    # relation, which is EF but not separated
     for n in (2, 3):
         space = GroundSpace.discrete(n)
-        models.append(CorpusModel(f"constant-n{n}", space, constant_proximity(space)))
+        complete = PointRelation((space.full_mask,) * n)
+        models.append(
+            CorpusModel(f"constant-n{n}", space, point_generated_proximity(space, complete))
+        )
 
     assert len(models) >= 200, f"corpus too small: {len(models)}"
     return models

@@ -97,6 +97,17 @@ class TestValidate:
         assert code == 2
         assert "bogus_field" in err
 
+    @pytest.mark.parametrize("tag", ["int", "float", "bool", "timestamp"])
+    def test_unreadable_tagged_scalar_exit_2(self, tmp_path, tag):
+        path = tmp_path / "tagged.yaml"
+        path.write_text(f"points: [!!{tag} x]\ntopology: discrete\nproximity: {{kind: overlap}}\n")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"parse error: line 1, column 10: not valid YAML: "
+            f"cannot read 'x' as tag:yaml.org,2002:{tag}\n"
+        )
+
     def test_missing_file_exit_2(self):
         code, _, err = run_cli("validate", "/nonexistent/model.yaml")
         assert code == 2

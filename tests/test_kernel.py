@@ -18,7 +18,6 @@ from proxitop import (
     ProximityRelation,
     alexandroff_proximity,
     check_axioms,
-    constant_proximity,
     gap_proximity,
     overlap_proximity,
     point_generated_proximity,
@@ -61,7 +60,9 @@ CONSTRUCTORS = {
         GroundSpace.discrete(2), [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (1, 2)]
     ),
     "table-empty": lambda: table_proximity(GroundSpace.discrete(2), []),
-    "constant": lambda: constant_proximity(GroundSpace.discrete(3)),
+    "constant": lambda: point_generated_proximity(  # everything near
+        GroundSpace.discrete(3), PointRelation((0b111,) * 3)
+    ),
     "derived-sf": lambda: derived_near_from_sf(
         gap_proximity(GroundSpace.discrete(3), Metric.line(3), 1)
     ),

@@ -285,9 +285,8 @@ class TestLoaderParity:
 
     def test_corpus_models(self, corpus):
         for m in corpus:
-            if m.prox.kind != "constant":  # no file form
-                metric = m.prox.params.get("metric")
-                assert_same_documents(serialize(Model(m.space, m.prox, metric)))
+            metric = m.prox.params.get("metric")
+            assert_same_documents(serialize(Model(m.space, m.prox, metric)))
 
     def test_every_search_candidate_up_to_four_points(self):
         target = SearchTarget(TARGET_NAMES[0], n_max=4)

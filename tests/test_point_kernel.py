@@ -31,7 +31,6 @@ from proxitop import (
     check_axioms,
     check_far_vs_sf,
     check_sf_implies_hat,
-    constant_proximity,
     enumerate_point_relations,
     enumerate_topologies,
     far_miss_set,
@@ -164,7 +163,8 @@ def test_point_generated_rules_are_reflexive():
         relations = list(enumerate_point_relations(n))
         for opens in enumerate_topologies(n):
             space = GroundSpace.create(n, opens)
-            bases = [overlap_proximity(space), constant_proximity(space)]
+            complete = PointRelation((space.full_mask,) * n)
+            bases = [overlap_proximity(space), point_generated_proximity(space, complete)]
             bases += [
                 alexandroff_proximity(space, CompactnessIdeal.principal(space, top))
                 for top in space.closed
@@ -176,9 +176,9 @@ def test_point_generated_rules_are_reflexive():
                 for i in range(n):
                     assert prox._rule(1 << i, 1 << i), (opens, prox, i)
                 checked += 1
-    # Per topology: overlap, constant, an Alexandroff relation per closed
-    # set, a gap per epsilon and every point relation; n = 1, 2, 3 have
-    # 1, 4, 29 topologies with 2, 12, 130 closed sets in all.
+    # Per topology: overlap, the complete point relation, an Alexandroff
+    # relation per closed set, a gap per epsilon and every point relation;
+    # n = 1, 2, 3 have 1, 4, 29 topologies with 2, 12, 130 closed sets in all.
     assert checked == 2 * ((1 * 4 + 2) + (4 * 6 + 12) + (29 * 13 + 130))
 
 

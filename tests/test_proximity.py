@@ -17,7 +17,6 @@ from proxitop import (
     alexandroff_proximity,
     check_axioms,
     closure,
-    constant_proximity,
     gap_proximity,
     induced_closure,
     is_compatible,
@@ -198,9 +197,15 @@ class TestPointGenerated:
             PointRelation((0b11, 0b10))  # not symmetric
 
 
+def everything_near(space):
+    """The relation generated by the complete point relation: every two
+    nonempty sets are near."""
+    return point_generated_proximity(space, PointRelation((space.full_mask,) * space.n))
+
+
 class TestTableAndConstant:
     def test_constant_relation_report(self, discrete3):
-        report = check_axioms(constant_proximity(discrete3))
+        report = check_axioms(everything_near(discrete3))
         for p in ("P0", "P1", "P2", "P3", "P4"):
             assert report.passed(p)
         assert not report.passed("P5")
@@ -234,14 +239,14 @@ class TestInducedClosureAndCompatibility:
 
     def test_constant_not_compatible(self):
         space = GroundSpace.discrete(2)
-        result = is_compatible(constant_proximity(space))
+        result = is_compatible(everything_near(space))
         assert not result.compatible
         assert result.witness == 0b01
-        assert induced_closure(constant_proximity(space), 0b01) == 0b11
+        assert induced_closure(everything_near(space), 0b01) == 0b11
 
     def test_one_point_space_always_compatible(self):
         space = GroundSpace.discrete(1)
-        assert is_compatible(constant_proximity(space)).compatible
+        assert is_compatible(everything_near(space)).compatible
 
     def test_lodato_compatible_induced_closure_is_kuratowski(self):
         space = GroundSpace.from_partition([[0, 1], [2]])
