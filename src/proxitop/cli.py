@@ -25,6 +25,7 @@ from .modelfile import Model
 from .proximity import AXIOM_NAMES, check_axioms, is_compatible
 from .search import (
     DEFAULT_BUDGET,
+    KIND_EXHAUSTIVE_CAPS,
     MAX_SEARCH_N,
     STATUS_WITNESS,
     SearchTarget,
@@ -103,9 +104,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="hunt finite models for witnesses")
     p.add_argument("--target", required=True, choices=TARGET_NAMES)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--budget", type=_count(0), default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--max-n", type=int, default=3,
+        help=f"largest point count to search, 1..{MAX_SEARCH_N} (default 3)",
+    )
+    p.add_argument(
+        "--budget", type=_count(0), default=DEFAULT_BUDGET,
+        help="relation evaluations to spend: each n-point candidate counts "
+        "2^n (2^n + 1) / 2, whether it is built or not",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds only the sampled stages: the point-relation and Alexandroff "
+        f"candidates above {KIND_EXHAUSTIVE_CAPS['point_relation']} points, past "
+        "the exhaustive caps",
+    )
     p.add_argument("--out", default=None, help="write the witness model file here")
     common(p)
     return parser

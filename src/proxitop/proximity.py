@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP, InvalidModelError, ToolkitError
 from .spaces import GroundSpace, Metric, all_masks, bits_of, closure, union_table
@@ -391,11 +391,7 @@ class PointRelation:
         return bool(self.rows[i] & (1 << j))
 
     def is_transitive(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j in bits_of(row):
-                if self.rows[j] & ~row:
-                    return False
-        return True
+        return _rows_transitive(self.rows)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Off-diagonal related pairs (i < j), ascending."""
@@ -502,6 +498,12 @@ class CompatibilityResult:
 
     def __bool__(self) -> bool:
         return self.compatible
+
+
+def _rows_compatible(space: GroundSpace, rows: tuple[int, ...]) -> bool:
+    """Does a relation with point rows R induce the space's closure?
+    Iff R(i) = cl({i}) for every i (F8; see `is_compatible`)."""
+    return rows == space._point_closures
 
 
 def is_compatible(prox: ProximityRelation) -> CompatibilityResult:
@@ -706,6 +708,33 @@ def _point_witnesses(nbhd: list[int], n: int, requested: tuple[str, ...]) -> dic
             }
             out.update((name, w) for name, w in first.items() if name in requested)
     return out
+
+
+def _rows_transitive(rows: Sequence[int]) -> bool:
+    """R(j) lies in R(i) for every j in R(i), that is N∘N = N.
+
+    For a reflexive, symmetric R that makes R an equivalence, whose
+    distinct rows are disjoint; as they cover the points, that holds iff
+    their sizes sum to n.
+    """
+    return sum(row.bit_count() for row in set(rows)) == len(rows)
+
+
+# The classification of a relation with point rows, by whether R is
+# transitive: P0-P3 hold for a reflexive, symmetric R (F10), and P4 and
+# EF fail together, exactly where N∘N != N (`_point_witnesses`).
+_ROW_CLASSES = {
+    closed: _classify({
+        **dict.fromkeys(("P0", "P1", "P2", "P3"), _PASSED),
+        "P4": AxiomVerdict(closed), "EF": AxiomVerdict(closed),
+    })
+    for closed in (False, True)
+}
+
+
+def _row_classification(rows: Sequence[int]) -> str:
+    """`check_axioms(prox).classification` of a relation with point rows R."""
+    return _ROW_CLASSES[_rows_transitive(rows)]
 
 
 def _far_rows(prox: ProximityRelation) -> tuple[list[int], list[int]]:

@@ -16,11 +16,12 @@ replay script of public-operation calls that re-exhibits the property.
 
 The candidates come as a stream of (name, key, build) entries, where
 key is (opens, point rows R) for a point-generated candidate and None
-for a table, and `build()` makes a fresh model. The seed-independent
-exhaustive stages hold only names, keys and the immutable spaces,
-ideals, point relations and metrics their builds close over, so each is
-built once per process (`_exhaustive_stage`), as `enumerate_topologies`
-is; the sampled stages are drawn per call from the seed.
+for a table, and `build()` makes a fresh model over `build.space`. The
+seed-independent exhaustive stages hold only names, keys and the
+immutable spaces, ideals, point relations and metrics their builds close
+over, so each is built once per process (`_exhaustive_stage`), as
+`enumerate_topologies` is; the sampled stages are drawn per call from
+the seed.
 
 Every target test on a point-generated candidate reads only its
 topology and its point rows R, and the generators keep producing the
@@ -35,13 +36,29 @@ with all its pairs, which reading its rows or its axiom report
 determines. `incomparable-topologies` gates on the point rows alone, not
 on an axiom report: it compares the miss halves off the rows, so its
 search makes no `check_axioms` call.
+
+A first key, or a table's rows, then passes a row gate
+(`_TARGET_GATES`) before anything is built for it: a read of R and the
+space's cached point closures that says whether the target's test can
+return a witness. P0-P3 hold on R, and P4 and EF fail together exactly
+where R is not transitive (N∘N != N), so the classification is `ef` or
+`basic` and never `lodato` (F6); the Lodato sweeps need R transitive and
+compatible, R(i) = cl{i} for every i (F8), and compatible R is
+transitive; and the two miss halves are equal where R is transitive
+(F2). So `basic-not-lodato` and `incomparable-topologies` build only
+candidates whose R is not transitive, `sf-not-hat` and
+`lemma37-violation` only compatible ones, and `lodato-not-ef` and
+`far-not-strongly-far` none. Where the gate says no, the unchanged test
+would return None, so verdicts, witnesses and counts cannot differ: the
+tests stay the only source of witnesses, and every candidate, built or
+not, is counted as before.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterator, Optional
 
@@ -64,6 +81,9 @@ from .proximity import (
     PointRelation,
     _alexandroff_rows,
     _gap_rows,
+    _row_classification,
+    _rows_compatible,
+    _rows_transitive,
     alexandroff_proximity,
     check_axioms,
     gap_proximity,
@@ -218,8 +238,28 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[tuple[int, ..
 
 # A point-generated candidate's search key: its topology and point rows.
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _Build:
+    """`build()` makes a fresh model, `make(space, *args)`.
+
+    It carries the space its model lives on, so the search reads that
+    space's point closures without building the model.
+    """
+
+    __slots__ = ("make", "space", "args")
+
+    def __init__(self, make: Callable[..., Model], space: GroundSpace, args: tuple):
+        self.make = make
+        self.space = space
+        self.args = args
+
+    def __call__(self) -> Model:
+        return self.make(self.space, *self.args)
+
+
 # One stream entry: (name, key, build); tables have no key.
-Entry = tuple[str, Optional[Key], Callable[[], Model]]
+Entry = tuple[str, Optional[Key], _Build]
 
 
 def _table_model(space: GroundSpace, pairs: tuple[tuple[int, int], ...]) -> Model:
@@ -239,13 +279,13 @@ def _alexandroff_model(space: GroundSpace, ideal: CompactnessIdeal) -> Model:
 
 
 def _point_relation_entry(name: str, space: GroundSpace, rel: PointRelation) -> Entry:
-    return name, (space.opens, rel.rows), partial(_point_relation_model, space, rel)
+    return name, (space.opens, rel.rows), _Build(_point_relation_model, space, (rel,))
 
 
 def _alexandroff_entry(name: str, space: GroundSpace, top: int) -> Entry:
     ideal = CompactnessIdeal.principal(space, top)
     key = (space.opens, _alexandroff_rows(space, top))
-    return name, key, partial(_alexandroff_model, space, ideal)
+    return name, key, _Build(_alexandroff_model, space, (ideal,))
 
 
 def _table_stage(n: int) -> Iterator[Entry]:
@@ -257,7 +297,7 @@ def _table_stage(n: int) -> Iterator[Entry]:
     ]
     for table_id in range(1 << len(pair_space)):
         pairs = tuple(pair_space[k] for k in bits_of(table_id))
-        yield f"n{n}/table/{table_id}", None, partial(_table_model, space, pairs)
+        yield f"n{n}/table/{table_id}", None, _Build(_table_model, space, (pairs,))
 
 
 def _point_relation_stage(n: int) -> Iterator[Entry]:
@@ -297,7 +337,7 @@ def _gap_stage(n: int) -> Iterator[Entry]:
     epsilons = (0,) + metric.distance_values()
     for k, eps in enumerate(epsilons):
         key = (space.opens, _gap_rows(metric, eps))
-        yield f"n{n}/gap/line-eps{k}", key, partial(_gap_model, space, metric, eps)
+        yield f"n{n}/gap/line-eps{k}", key, _Build(_gap_model, space, (metric, eps))
 
 
 def _alexandroff_stage(n: int) -> Iterator[Entry]:
@@ -334,20 +374,18 @@ def _table_models(n: int) -> Iterator[tuple[str, Model]]:
 
 
 def _random_topology(n: int, rng: random.Random) -> GroundSpace:
+    """The topology generated by up to n + 1 random proper nonempty masks.
+
+    U_p is the meet of the drawn masks that hold p (X if none), so the
+    drawn family is never closed under union and intersection.
+    """
     full = (1 << n) - 1
-    opens = {0, full}
+    ups = [full] * n
     for _ in range(rng.randrange(0, n + 2)):
-        opens.add(rng.randrange(1, full))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(opens):
-            for b in list(opens):
-                for m in (a | b, a & b):
-                    if m not in opens:
-                        opens.add(m)
-                        changed = True
-    return GroundSpace.create(n, opens)
+        m = rng.randrange(1, full)
+        for p in bits_of(m):
+            ups[p] &= m
+    return GroundSpace.from_minimal_neighbourhoods(ups)
 
 
 def _sampled_stage(kind: str, n: int, rng: random.Random) -> Iterator[Entry]:
@@ -384,7 +422,7 @@ def _sampled_stage(kind: str, n: int, rng: random.Random) -> Iterator[Entry]:
 
 def _candidates(
     target: SearchTarget, seed: int
-) -> Iterator[tuple[str, Optional[Key], Callable[[], Model], bool]]:
+) -> Iterator[tuple[str, Optional[Key], _Build, bool]]:
     """The candidate stream: (name, key, build, exhaustive_stage).
 
     Within each n, kinds run in the fixed order of ALL_KINDS; exhaustive
@@ -521,6 +559,36 @@ _TARGET_TESTS = {
 }
 
 
+# -- the row gate ---------------------------------------------------------
+#
+# Per target, whether its test can return a witness for a relation with
+# point rows R on `space` (see the module docstring). The Lodato sweeps
+# need R transitive and compatible, and compatible is enough: cl{i} is
+# closed, so j in R(i) = cl{i} puts R(j) = cl{j} inside R(i).
+
+
+def _basic_class(space: GroundSpace, rows: tuple[int, ...]) -> bool:
+    return _row_classification(rows) == CLASS_BASIC
+
+
+def _lodato_class(space: GroundSpace, rows: tuple[int, ...]) -> bool:
+    return _row_classification(rows) == CLASS_LODATO
+
+
+def _intransitive(space: GroundSpace, rows: tuple[int, ...]) -> bool:
+    return not _rows_transitive(rows)
+
+
+_TARGET_GATES = {
+    "basic-not-lodato": _basic_class,
+    "lodato-not-ef": _lodato_class,
+    "far-not-strongly-far": _lodato_class,
+    "sf-not-hat": _rows_compatible,
+    "lemma37-violation": _rows_compatible,
+    "incomparable-topologies": _intransitive,
+}
+
+
 # -- the search loop ----------------------------------------------------
 
 
@@ -536,13 +604,18 @@ def search(
     when the documented space was fully enumerated, or budget-exhausted
     when the relation-evaluation budget ran out first (sampled stages
     always end in budget-exhausted if no witness turns up, since they do
-    not exhaust anything). A candidate repeating an earlier one's
-    (topology, point rows) key is counted but not built, and a table
-    that is not basic is built but not tested.
+    not exhaust anything). Every candidate is counted, in
+    `models_checked` and with its 2^n (2^n + 1) / 2 pairs in
+    `evaluations`. A candidate repeating an earlier one's (topology,
+    point rows) key is not built, and neither is one whose rows the
+    target's row gate rejects, since the target's test would find no
+    witness in it; a table is built for its rows, and tested only when it
+    has rows that pass the gate.
     """
     if isinstance(target, str):
         target = SearchTarget(target)
     test = _TARGET_TESTS[target.name]
+    gate = _TARGET_GATES[target.name]
     evaluations = 0
     models_checked = 0
     all_exhaustive = True
@@ -557,20 +630,25 @@ def search(
             )
         all_exhaustive = all_exhaustive and exhaustive_stage
         models_checked += 1
-        if key in tested:
-            # Testing the twin settled it on every pair.
-            size = 1 << len(key[1])
-            evaluations += size * (size + 1) // 2
-            continue
-        model = build()
-        if key is not None:
-            tested.add(key)
-        # Every target's witness is basic, and a relation is basic iff it
-        # has point rows (F10 for tables). Reading them determines every
-        # pair, as testing a twin does.
-        witness = test(model) if model.proximity._point_rows() is not None else None
-        size = 1 << model.space.n
+        # Reading the rows, or testing a twin, determines every pair.
+        size = 1 << build.space.n
         evaluations += size * (size + 1) // 2
+        model = None
+        if key is None:
+            # A table's rows come from its pairs (F10). Every target's
+            # witness is basic, and a relation is basic iff it has rows.
+            model = build()
+            rows = model.proximity._point_rows()
+            if rows is None:
+                continue
+        elif key in tested:
+            continue  # its twin was no witness
+        else:
+            tested.add(key)
+            rows = key[1]
+        if not gate(build.space, rows):
+            continue
+        witness = test(build() if model is None else model)
         if witness is not None:
             return SearchOutcome(
                 target, STATUS_WITNESS, budget, seed, evaluations, models_checked,

@@ -337,18 +337,23 @@ class GroundSpace:
         return tuple(rows)
 
     @cached_property
-    def closures(self) -> tuple[int, ...]:
-        """Per mask m, the meet of the closed supersets of m.
-
-        Closure is additive, and cl({i}) = {p : i in U_p}, so the table is
-        the union table of the n point closures: 2^n ORs.
-        """
+    def _point_closures(self) -> tuple[int, ...]:
+        """Per point i, cl({i}) = {p : i in U_p}: O(n^2), no 2^n table."""
         self._require_topology()
         point_closures = [0] * self.n
         for p, u in enumerate(self._minimal_neighbourhoods):
             for i in bits_of(u):
                 point_closures[i] |= 1 << p
-        return tuple(union_table(point_closures))
+        return tuple(point_closures)
+
+    @cached_property
+    def closures(self) -> tuple[int, ...]:
+        """Per mask m, the meet of the closed supersets of m.
+
+        Closure is additive, so the table is the union table of the n
+        point closures: 2^n ORs.
+        """
+        return tuple(union_table(self._point_closures))
 
     @cached_property
     def regular_open_hulls(self) -> tuple[int, ...]:

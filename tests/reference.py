@@ -45,7 +45,10 @@ hyperspace neighbourhoods took before each spec read them off one
 closed form, and `inclusion_containment_violations` the family test of
 the Lemma 3.7 sweep before it compared closed forms. `singleton_rows`
 reads point rows off a relation's singleton verdicts, as tables did
-before they read them off their pairs.
+before they read them off their pairs. `closed_random_topology` is the
+sampled Alexandroff stage's topology draw before it read the minimal
+neighbourhoods off the drawn masks: it closes them under pairwise union
+and intersection until nothing changes.
 """
 
 from itertools import permutations
@@ -60,7 +63,7 @@ from proxitop.search import (
     _TARGET_TESTS,
     candidate_models,
 )
-from proxitop.spaces import all_masks, bits_of
+from proxitop.spaces import GroundSpace, all_masks, bits_of
 
 
 def rule_near(prox):
@@ -501,3 +504,22 @@ def point_closure_hulls(space):
                 row |= u
         rows.append(row)
     return tuple(rows)
+
+
+def closed_random_topology(n, rng):
+    """Up to n + 1 random proper nonempty masks with 0 and X, closed under
+    pairwise union and intersection."""
+    full = (1 << n) - 1
+    opens = {0, full}
+    for _ in range(rng.randrange(0, n + 2)):
+        opens.add(rng.randrange(1, full))
+    changed = True
+    while changed:
+        changed = False
+        for a in list(opens):
+            for b in list(opens):
+                for m in (a | b, a & b):
+                    if m not in opens:
+                        opens.add(m)
+                        changed = True
+    return GroundSpace.create(n, opens)

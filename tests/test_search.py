@@ -1,5 +1,7 @@
 """Model search: enumeration counts, determinism, soundness, replay."""
 
+import random
+
 import pytest
 
 import oracle
@@ -20,9 +22,14 @@ from proxitop.search import (
     STATUS_EXHAUSTED,
     STATUS_WITNESS,
     SearchTarget,
+    _random_topology,
     candidate_models,
 )
-from reference import brute_force_point_relations, brute_force_topologies
+from reference import (
+    brute_force_point_relations,
+    brute_force_topologies,
+    closed_random_topology,
+)
 
 
 class TestEnumeration:
@@ -141,6 +148,19 @@ class TestDeterminismAndBudget:
         outcome = search(SearchTarget("lodato-not-ef", n_min=5, n_max=5))
         assert outcome.status == STATUS_BUDGET
         assert any("sampled" in note for note in outcome.notes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_topology_matches_the_closure_loop(self, n):
+        """A sampled topology is the union/intersection closure of the
+        drawn masks, from the same draws: the generator is left where the
+        closure loop leaves it."""
+        for seed in range(1000):
+            fast, slow = random.Random(seed), random.Random(seed)
+            space = _random_topology(n, fast)
+            closed = closed_random_topology(n, slow)
+            assert space == closed, (n, seed)
+            assert space._minimal_neighbourhoods == closed._minimal_neighbourhoods, (n, seed)
+            assert fast.random() == slow.random(), (n, seed)
 
 
 class TestReplay:

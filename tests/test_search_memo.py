@@ -3,7 +3,11 @@
 Every target test on a point-generated candidate reads only the
 topology and the point rows R, so `search` tests the first candidate
 with a given (opens, R) and counts its repeats without building them,
-and it tests no table that fails P0-P3. A tested candidate gets at most
+and it tests no table that fails P0-P3. It builds and tests a candidate
+only where a read of R says the target's test can return a witness:
+R not transitive for `basic-not-lodato` and `incomparable-topologies`,
+never for `lodato-not-ef` and `far-not-strongly-far`, and R(i) = cl{i}
+for every i for the two Lodato sweeps. A tested candidate gets at most
 one axiom report, and `incomparable-topologies` gets none. The
 seed-independent stages are built once per process.
 `test_search_matches_the_naive_loop` compares it with
@@ -21,7 +25,7 @@ import pytest
 
 from proxitop import cli, serialize
 from proxitop.modelfile import Model
-from proxitop.proximity import CLASS_NOT_BASIC, ProximityRelation, check_axioms
+from proxitop.proximity import ProximityRelation, check_axioms, is_compatible
 from proxitop.search import (
     KIND_EXHAUSTIVE_CAPS,
     SAMPLES_PER_STAGE,
@@ -91,9 +95,11 @@ def test_twins_get_the_same_outcome():
 
 def test_repeats_are_not_tested(monkeypatch):
     """At --max-n 4 the stream has 66 tables and 370 point-generated
-    candidates with 180 distinct (opens, R). Only those 180 and the 3
-    basic tables are tested: every target's witness is basic, and the
-    63 tables the gate passes over are exactly the not-basic ones."""
+    candidates with 180 distinct (opens, R). 63 of the 370 have rows
+    compatible with their topology, 23 of them distinct keys; only those
+    23 and the 2 compatible tables are tested: every target's witness is
+    basic, and the 64 tables the gate passes over are exactly the ones
+    that are not basic or not compatible."""
     calls = []
     original = _TARGET_TESTS["sf-not-hat"]
 
@@ -104,29 +110,30 @@ def test_repeats_are_not_tested(monkeypatch):
     monkeypatch.setitem(_TARGET_TESTS, "sf-not-hat", counted)
     outcome = search(SearchTarget("sf-not-hat", n_max=4))
     assert outcome.models_checked == 66 + 370
-    assert len(calls) == 3 + 180
+    assert len(calls) == 2 + 23
     tested = {m.proximity.params["near_pairs"] for m in calls if m.proximity.kind == "table"}
     tables = [model.proximity for n in (1, 2) for _, model in _table_models(n)]
-    basic = {
+    compatible = {
         prox.params["near_pairs"]
         for prox in tables
-        if check_axioms(prox).classification != CLASS_NOT_BASIC
+        if check_axioms(prox).is_basic and is_compatible(prox)
     }
-    assert len(tables) - len(basic) == 63
-    assert tested == basic
+    assert len(tables) - len(compatible) == 64
+    assert tested == compatible
 
 
-# (target, --max-n, axiom reports at seed 1): 183 = 180 distinct keys and
-# 3 basic tables at n <= 4; 233 adds the 50 distinct keys among the 65
-# candidates at n = 5.
+# (target, --max-n, axiom reports at seed 1): the first candidate whose R
+# is not transitive is a basic-not-lodato witness; no R is Lodato and not
+# EF; 25 = the 23 distinct compatible keys and 2 compatible tables at
+# n <= 4.
 AXIOM_REPORTS = [
-    ("basic-not-lodato", 4, 12),
-    ("lodato-not-ef", 4, 183),
-    ("far-not-strongly-far", 4, 183),
-    ("sf-not-hat", 4, 183),
-    ("lemma37-violation", 4, 183),
+    ("basic-not-lodato", 4, 1),
+    ("lodato-not-ef", 4, 0),
+    ("far-not-strongly-far", 4, 0),
+    ("sf-not-hat", 4, 25),
+    ("lemma37-violation", 4, 25),
     ("incomparable-topologies", 4, 0),
-    ("far-not-strongly-far", 5, 233),
+    ("far-not-strongly-far", 5, 0),
     ("incomparable-topologies", 5, 0),
 ]
 
@@ -170,10 +177,23 @@ def test_incomparable_builds_no_matrix(monkeypatch):
     assert built == []
 
 
+# (target, relations built past the 66 tables at --max-n 4): of the 180
+# distinct keys, 84 have an R that is not transitive and 23 one that is
+# compatible with the topology; no R is Lodato and not EF.
+RELATIONS_BUILT = {
+    "lodato-not-ef": 0,
+    "far-not-strongly-far": 0,
+    "sf-not-hat": 23,
+    "lemma37-violation": 23,
+    "incomparable-topologies": 84,
+}
+
+
 @pytest.mark.parametrize("name", TARGET_NAMES[1:])
 def test_one_relation_per_distinct_candidate(name, monkeypatch):
     """A search builds the 66 tables and one relation per distinct
-    (opens, R): a repeated key builds nothing, not even its relation."""
+    (opens, R) that its target's row read passes: a repeated key builds
+    nothing, not even its relation."""
     built = []
     init = ProximityRelation.__init__
 
@@ -183,7 +203,7 @@ def test_one_relation_per_distinct_candidate(name, monkeypatch):
 
     monkeypatch.setattr(ProximityRelation, "__init__", counted)
     search(SearchTarget(name, n_max=4))
-    assert len(built) == 66 + 180
+    assert len(built) == 66 + RELATIONS_BUILT[name]
     assert built.count("table") == 66
 
 
