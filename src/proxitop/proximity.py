@@ -63,9 +63,10 @@ class ProximityRelation:
     reads closure raises InvalidTopologyError on a family that is not a
     topology.
 
-    `eval_count` is the model searcher's budget unit: the number of rule
-    calls `near` has made before the relation settles, and all
-    2^n (2^n + 1) / 2 unordered pairs once it has.
+    `eval_count` is the number of rule calls `near` has made before the
+    relation settles, and all 2^n (2^n + 1) / 2 unordered pairs once it
+    has. The tests, `tests/reference.py::naive_search` and the
+    benchmark's traces read it; `search` counts its budget itself.
     """
 
     __slots__ = (

@@ -15,29 +15,28 @@ models from a seeded generator. Outcomes carry the witness model plus a
 replay script of public-operation calls that re-exhibits the property.
 
 The candidates come as a stream of (name, key, build) entries, where
-key is (opens, point rows R) for a point-generated candidate and None
-for a table, and `build()` makes a fresh model over `build.space`. The
-seed-independent exhaustive stages hold only names, keys and the
-immutable spaces, ideals, point relations and metrics their builds close
-over, so each is built once per process (`_exhaustive_stage`), as
-`enumerate_topologies` is; the sampled stages are drawn per call from
-the seed.
+key is (opens, point rows R) and `build()` makes a fresh model over
+`build.space`. A table's key comes from its pairs once per process,
+when its stage is built; a table with no rows, one that is not basic
+(F10), has key None. The seed-independent exhaustive stages hold only
+names, keys and the immutable spaces, ideals, point relations and
+metrics their builds close over, so each is built once per process
+(`_exhaustive_stage`), as `enumerate_topologies` is; the sampled stages
+are drawn per call from the seed.
 
-Every target test on a point-generated candidate reads only its
+Every target test on a candidate with point rows reads only its
 topology and its point rows R, and the generators keep producing the
-same pair (the Alexandroff ideals, the partition stage and the discrete
-point relations overlap). Within one `search` call each key is therefore
-tested once: a repeat cannot be a witness, since the search would have
-stopped at its first twin, so it is counted in `models_checked` and its
-2^n (2^n + 1) / 2 pairs in `evaluations`, but not built. Every target's
-witness is basic, so a table is tested only when it has point rows,
-which it has exactly when it is basic (F10); either way it is counted
-with all its pairs, which reading its rows or its axiom report
-determines. `incomparable-topologies` gates on the point rows alone, not
-on an axiom report: it compares the miss halves off the rows, so its
-search makes no `check_axioms` call.
+same pair (the basic tables, the Alexandroff ideals, the partition stage
+and the discrete point relations overlap). Within one `search` call each
+key is therefore tested once: a repeat cannot be a witness, since the
+search would have stopped at its first twin, so it is counted in
+`models_checked` and its 2^n (2^n + 1) / 2 pairs in `evaluations`, but
+not built. Every target's witness is basic, so a candidate with key None
+is counted the same way and never built. `incomparable-topologies` gates
+on the point rows alone, not on an axiom report: it compares the miss
+halves off the rows, so its search makes no `check_axioms` call.
 
-A first key, or a table's rows, then passes a row gate
+A first key then passes a row gate
 (`_TARGET_GATES`) before anything is built for it: a read of R and the
 space's cached point closures that says whether the target's test can
 return a witness. P0-P3 hold on R, and P4 and EF fail together exactly
@@ -84,6 +83,7 @@ from .proximity import (
     _row_classification,
     _rows_compatible,
     _rows_transitive,
+    _table_rows,
     alexandroff_proximity,
     check_axioms,
     gap_proximity,
@@ -236,7 +236,7 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[tuple[int, ..
     return tuple(reps)
 
 
-# A point-generated candidate's search key: its topology and point rows.
+# A candidate's search key: its topology and point rows.
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -258,7 +258,7 @@ class _Build:
         return self.make(self.space, *self.args)
 
 
-# One stream entry: (name, key, build); tables have no key.
+# One stream entry: (name, key, build); a table that is not basic has no key.
 Entry = tuple[str, Optional[Key], _Build]
 
 
@@ -297,7 +297,9 @@ def _table_stage(n: int) -> Iterator[Entry]:
     ]
     for table_id in range(1 << len(pair_space)):
         pairs = tuple(pair_space[k] for k in bits_of(table_id))
-        yield f"n{n}/table/{table_id}", None, _Build(_table_model, space, (pairs,))
+        rows = _table_rows(n, frozenset(pairs))
+        key = None if rows is None else (space.opens, rows)
+        yield f"n{n}/table/{table_id}", key, _Build(_table_model, space, (pairs,))
 
 
 def _point_relation_stage(n: int) -> Iterator[Entry]:
@@ -389,14 +391,16 @@ def _random_topology(n: int, rng: random.Random) -> GroundSpace:
 
 
 def _sampled_stage(kind: str, n: int, rng: random.Random) -> Iterator[Entry]:
-    for s in range(SAMPLES_PER_STAGE):
-        if kind == "point_relation":
-            pairs = _pair_order(n)
+    if kind == "point_relation":
+        pairs = _pair_order(n)
+        space = GroundSpace.discrete(n)
+        for s in range(SAMPLES_PER_STAGE):
             edges = rng.randrange(0, 1 << len(pairs))
             rel = PointRelation.from_pairs(n, [pairs[k] for k in bits_of(edges)])
-            space = GroundSpace.discrete(n)
             yield _point_relation_entry(f"n{n}/point_relation/sample{s}", space, rel)
-        elif kind == "point_relation_partition":
+        return
+    for s in range(SAMPLES_PER_STAGE):
+        if kind == "point_relation_partition":
             sizes = []
             left = n
             while left:
@@ -609,8 +613,8 @@ def search(
     `evaluations`. A candidate repeating an earlier one's (topology,
     point rows) key is not built, and neither is one whose rows the
     target's row gate rejects, since the target's test would find no
-    witness in it; a table is built for its rows, and tested only when it
-    has rows that pass the gate.
+    witness in it. A table's key comes from its pairs once per process,
+    and a table with no rows has key None and is never built.
     """
     if isinstance(target, str):
         target = SearchTarget(target)
@@ -633,22 +637,14 @@ def search(
         # Reading the rows, or testing a twin, determines every pair.
         size = 1 << build.space.n
         evaluations += size * (size + 1) // 2
-        model = None
-        if key is None:
-            # A table's rows come from its pairs (F10). Every target's
-            # witness is basic, and a relation is basic iff it has rows.
-            model = build()
-            rows = model.proximity._point_rows()
-            if rows is None:
-                continue
-        elif key in tested:
-            continue  # its twin was no witness
-        else:
-            tested.add(key)
-            rows = key[1]
-        if not gate(build.space, rows):
+        # A keyless table is not basic, and every target's witness is;
+        # a repeated key's twin was no witness.
+        if key is None or key in tested:
             continue
-        witness = test(build() if model is None else model)
+        tested.add(key)
+        if not gate(build.space, key[1]):
+            continue
+        witness = test(build())
         if witness is not None:
             return SearchOutcome(
                 target, STATUS_WITNESS, budget, seed, evaluations, models_checked,

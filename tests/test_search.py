@@ -1,5 +1,6 @@
 """Model search: enumeration counts, determinism, soundness, replay."""
 
+import hashlib
 import random
 
 import pytest
@@ -18,10 +19,12 @@ from proxitop import (
 )
 from proxitop.modelfile import Model, parse
 from proxitop.search import (
+    SAMPLES_PER_STAGE,
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
     STATUS_WITNESS,
     SearchTarget,
+    _candidates,
     _random_topology,
     candidate_models,
 )
@@ -148,6 +151,24 @@ class TestDeterminismAndBudget:
         outcome = search(SearchTarget("lodato-not-ef", n_min=5, n_max=5))
         assert outcome.status == STATUS_BUDGET
         assert any("sampled" in note for note in outcome.notes)
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "2f0bc11ede0a9068175a6ce9e14895cbbe685d99e8c77df06a74ebcab0fee9c7"),
+            (7, "dd318c95001c327f3171ea873bb436c3cd8c07b1a2a8204bf45902505c375d87"),
+        ],
+    )
+    def test_sampled_stream_is_pinned(self, seed, digest):
+        """The seeded draws of the sampled stages at n = 5 and 6, as the
+        sha256 of their (name, key) list: 3 stages of SAMPLES_PER_STAGE
+        entries per n, the same for every target."""
+        target = SearchTarget("sf-not-hat", n_min=5, n_max=6)
+        entries = [
+            (name, key) for name, key, _, exhaustive in _candidates(target, seed) if not exhaustive
+        ]
+        assert len(entries) == 2 * 3 * SAMPLES_PER_STAGE
+        assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_topology_matches_the_closure_loop(self, n):
