@@ -39,29 +39,28 @@ CLASS_EF = "ef"
 class ProximityRelation:
     """A total symmetric relation over pairs of subset masks.
 
-    Verdicts come from `rule`, called with the unordered pair (a <= b),
-    so symmetry (P0) holds structurally. A relation has one description,
-    its rule, and settles into at most one stored form; nothing is kept
-    per pair before it does.
-
-    Every constructor here passes `point_rows`, a callback asked once, on
-    first use, for the point rows R(i) = {j : {i} near {j}} (R(i) holds
-    i by P2), or None when the relation is not point-generated after all
-    (a table that is not basic, and the derived strongly-far relation on
-    such a base). Each constructor computes R in closed form: no rule
-    call is made to read it. On a finite set a relation is basic (P0-P3)
+    A point-generated relation is described by its point rows alone:
+    its constructor passes `point_rows`, a callback asked once, on first
+    use, for R(i) = {j : {i} near {j}} (R(i) holds i by P2), computed in
+    closed form, and no rule. On a finite set a relation is basic (P0-P3)
     iff its point rows generate it, so a relation with rows is a
     proximity; the hyperspace layer and the sweeps over far pairs take
-    only such a relation (`_require_neighbourhoods`). Where there are rows,
-    the relation settles at its first `near` on its neighbourhood table:
-    N[a], the union of R(i) over i in a, by one OR per mask, and a near
-    b iff N[a] meets b. The table, 2^n ints, is the only representation
-    such a relation needs. A relation with no rows calls the rule on
-    every `near` until its first exhaustive sweep (`matrix`) settles it
-    on a dense bit matrix of 4^n bits, which serves its axiom report
-    and its strongly-far witness search. A rule or a row callback that
-    reads closure raises InvalidTopologyError on a family that is not a
-    topology.
+    only such a relation (`_require_neighbourhoods`). It settles at its
+    first `near` on its neighbourhood table: N[a], the union of R(i) over
+    i in a, by one OR per mask, and a near b iff N[a] meets b. The table,
+    2^n ints, is the only representation such a relation needs.
+
+    A relation that can lack rows (a table, the derived strongly-far
+    relation) also passes `rule`, called with the unordered pair
+    (a <= b), so symmetry (P0) holds structurally; its `point_rows`
+    returns None when the relation is not point-generated after all (a
+    table that is not basic, and the derived relation on such a base).
+    Such a relation calls the rule on every `near` until its first
+    exhaustive sweep (`matrix`) settles it on a dense bit matrix of 4^n
+    bits, which serves its axiom report and its strongly-far witness
+    search. Nothing is kept per pair before a relation settles. A rule
+    or a row callback that reads closure raises InvalidTopologyError on a
+    family that is not a topology.
 
     `eval_count` is the number of rule calls `near` has made before the
     relation settles, and all 2^n (2^n + 1) / 2 unordered pairs once it
@@ -78,7 +77,7 @@ class ProximityRelation:
         self,
         space: GroundSpace,
         kind: str,
-        rule: Callable[[int, int], bool],
+        rule: Optional[Callable[[int, int], bool]] = None,
         params: Optional[dict] = None,
         point_rows: Optional[Callable[[], Optional[tuple[int, ...]]]] = None,
     ):
@@ -90,8 +89,9 @@ class ProximityRelation:
         self._rows: Optional[list[int]] = None
         self._singletons: Optional[tuple[int, ...]] = None
         self._nbhd: Optional[list[int]] = None
-        # Where it gives rows, the rule is additive with that reflexive,
-        # symmetric R, which the axiom kernel relies on. Cleared once answered.
+        # Where a relation with a rule gives rows, the rule is additive with
+        # that reflexive, symmetric R, which the axiom kernel relies on.
+        # Cleared once answered.
         self._pending_rows = point_rows
 
     def near(self, a: int, b: int) -> bool:
@@ -141,7 +141,8 @@ class ProximityRelation:
     def matrix(self) -> list[int]:
         """The dense near matrix: bit b of `rows[a]` says whether a near b.
 
-        Built on first use by calling `rule` once per unordered pair.
+        Built on first use by calling `rule` once per unordered pair; only
+        a relation with no point rows, which always has a rule, needs it.
         """
         if self._rows is None:
             size = 1 << self.space.n
@@ -233,35 +234,24 @@ def _gap_rows(metric: Metric, epsilon) -> tuple[int, ...]:
 def overlap_proximity(space: GroundSpace) -> ProximityRelation:
     """A near B iff their closures meet.
 
-    Closure is additive, so the rows R(i) = U(cl{i}) generate the rule.
+    Closure is additive, so the rows R(i) = U(cl{i}) generate the relation.
     """
-
-    def rule(a: int, b: int) -> bool:
-        return closure(space, a) & closure(space, b) != 0
-
-    return ProximityRelation(
-        space, "overlap", rule, point_rows=lambda: space._point_closure_hulls
-    )
+    return ProximityRelation(space, "overlap", point_rows=lambda: space._point_closure_hulls)
 
 
 def gap_proximity(space: GroundSpace, metric: Metric, epsilon) -> ProximityRelation:
     """A near B iff both are nonempty and min-distance(A, B) <= epsilon.
 
     The gap is a minimum over point pairs, so the rows
-    R(i) = {j : d(i, j) <= epsilon} generate the rule.
+    R(i) = {j : d(i, j) <= epsilon} generate the relation.
     """
     if metric.n != space.n:
         raise ToolkitError("metric dimension must match the space")
     eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
     if eps < 0:
         raise ToolkitError("epsilon must be non-negative")
-
-    def rule(a: int, b: int) -> bool:
-        g = metric.gap(a, b)
-        return g is not None and g <= eps
-
     return ProximityRelation(
-        space, "gap", rule, {"epsilon": eps, "metric": metric},
+        space, "gap", params={"epsilon": eps, "metric": metric},
         point_rows=lambda: _gap_rows(metric, eps),
     )
 
@@ -332,25 +322,15 @@ class CompactnessIdeal:
 def alexandroff_proximity(space: GroundSpace, ideal: CompactnessIdeal) -> ProximityRelation:
     """A near B iff closures meet, or both closures fall outside the ideal.
 
-    The empty set is hard-coded far from everything; its closure lies in
-    the ideal anyway, so the override only documents intent. A valid
-    ideal is the closed subsets of its top, so a closure leaves it iff
-    some point's closure does, and the rows `_alexandroff_rows` generate
-    the rule.
+    The empty set is far from everything: its closure meets nothing and
+    lies in the ideal. A valid ideal is the closed subsets of its top, so
+    a closure leaves it iff some point's closure does, and the rows
+    `_alexandroff_rows` generate the relation.
     """
     if ideal.space is not space and ideal.space != space:
         raise ToolkitError("ideal belongs to a different space")
-
-    def rule(a: int, b: int) -> bool:
-        if a == 0 or b == 0:
-            return False
-        ca, cb = closure(space, a), closure(space, b)
-        if ca & cb:
-            return True
-        return ca not in ideal.members and cb not in ideal.members
-
     return ProximityRelation(
-        space, "alexandroff", rule, {"ideal": ideal},
+        space, "alexandroff", params={"ideal": ideal},
         point_rows=lambda: _alexandroff_rows(space, ideal.top),
     )
 
@@ -413,16 +393,8 @@ def point_generated_proximity(space: GroundSpace, relation: PointRelation) -> Pr
     """
     if relation.n != space.n:
         raise ToolkitError("point relation dimension must match the space")
-    rows = relation.rows
-
-    def rule(a: int, b: int) -> bool:
-        for i in bits_of(a):
-            if rows[i] & b:
-                return True
-        return False
-
     return ProximityRelation(
-        space, "point_relation", rule, {"relation": relation}, point_rows=lambda: rows
+        space, "point_relation", params={"relation": relation}, point_rows=lambda: relation.rows
     )
 
 
@@ -456,8 +428,8 @@ def table_proximity(
 ) -> ProximityRelation:
     """Explicit relation: listed pairs are near, everything else is far.
 
-    Unlike the rule-based constructors nothing is enforced, so a table
-    can violate any axiom; that is the point of loading one. A basic
+    Unlike the point-generated constructors nothing is enforced, so a
+    table can violate any axiom; that is the point of loading one. A basic
     table gets its point rows off its singleton pairs (`_table_rows`),
     so it runs on its neighbourhood table like every other proximity.
     Reading them reads no closure, so `near` and `far` on a table keep
@@ -719,23 +691,6 @@ def _rows_transitive(rows: Sequence[int]) -> bool:
     their sizes sum to n.
     """
     return sum(row.bit_count() for row in set(rows)) == len(rows)
-
-
-# The classification of a relation with point rows, by whether R is
-# transitive: P0-P3 hold for a reflexive, symmetric R (F10), and P4 and
-# EF fail together, exactly where N∘N != N (`_point_witnesses`).
-_ROW_CLASSES = {
-    closed: _classify({
-        **dict.fromkeys(("P0", "P1", "P2", "P3"), _PASSED),
-        "P4": AxiomVerdict(closed), "EF": AxiomVerdict(closed),
-    })
-    for closed in (False, True)
-}
-
-
-def _row_classification(rows: Sequence[int]) -> str:
-    """`check_axioms(prox).classification` of a relation with point rows R."""
-    return _ROW_CLASSES[_rows_transitive(rows)]
 
 
 def _far_rows(prox: ProximityRelation) -> tuple[list[int], list[int]]:

@@ -80,7 +80,6 @@ from .proximity import (
     PointRelation,
     _alexandroff_rows,
     _gap_rows,
-    _row_classification,
     _rows_compatible,
     _rows_transitive,
     _table_rows,
@@ -308,27 +307,16 @@ def _point_relation_stage(n: int) -> Iterator[Entry]:
         yield _point_relation_entry(f"n{n}/point_relation/{idx}", space, rel)
 
 
-def _partition_space_of(rel: PointRelation) -> Optional[GroundSpace]:
-    """The partition topology of a transitive relation's classes."""
-    if not rel.is_transitive():
-        return None
-    seen = 0
-    blocks = []
-    for i in range(rel.n):
-        if seen & (1 << i):
-            continue
-        blocks.append(list(bits_of(rel.rows[i])))
-        seen |= rel.rows[i]
-    return GroundSpace.from_partition(blocks)
-
-
 def _point_relation_partition_stage(n: int) -> Iterator[Entry]:
-    """Transitive relations on their induced partition topology (compatible)."""
+    """Transitive relations on their partition topology (compatible).
+
+    An equivalence's rows are its blocks, which are the partition
+    topology's minimal neighbourhoods.
+    """
     for idx, rel in enumerate(enumerate_point_relations(n)):
-        space = _partition_space_of(rel)
-        if space is None:
-            continue
-        yield _point_relation_entry(f"n{n}/point_relation_partition/{idx}", space, rel)
+        if rel.is_transitive():
+            space = GroundSpace.from_minimal_neighbourhoods(rel.rows)
+            yield _point_relation_entry(f"n{n}/point_relation_partition/{idx}", space, rel)
 
 
 def _gap_stage(n: int) -> Iterator[Entry]:
@@ -369,12 +357,6 @@ def _exhaustive_stage(kind: str, n: int) -> tuple[Entry, ...]:
     return tuple(_STAGES[kind](n))
 
 
-def _table_models(n: int) -> Iterator[tuple[str, Model]]:
-    """Explicit tables over the nonempty-pair space, discrete topology."""
-    for name, _, build in _exhaustive_stage("table", n):
-        yield name, build()
-
-
 def _random_topology(n: int, rng: random.Random) -> GroundSpace:
     """The topology generated by up to n + 1 random proper nonempty masks.
 
@@ -401,20 +383,13 @@ def _sampled_stage(kind: str, n: int, rng: random.Random) -> Iterator[Entry]:
         return
     for s in range(SAMPLES_PER_STAGE):
         if kind == "point_relation_partition":
-            sizes = []
-            left = n
-            while left:
-                take = rng.randrange(1, left + 1)
-                sizes.append(take)
-                left -= take
-            blocks, at = [], 0
-            for size in sizes:
-                blocks.append(list(range(at, at + size)))
-                at += size
-            rel = PointRelation.from_pairs(
-                n, [(i, j) for block in blocks for i in block for j in block if i < j]
-            )
-            space = _partition_space_of(rel)
+            # Consecutive blocks of drawn sizes; each point's row is its block.
+            rows: list[int] = []
+            while len(rows) < n:
+                size = rng.randrange(1, n - len(rows) + 1)
+                rows += [((1 << size) - 1) << len(rows)] * size
+            rel = PointRelation(tuple(rows))
+            space = GroundSpace.from_minimal_neighbourhoods(rel.rows)
             yield _point_relation_entry(f"n{n}/point_relation_partition/sample{s}", space, rel)
         elif kind == "alexandroff":
             space = _random_topology(n, rng)
@@ -566,27 +541,25 @@ _TARGET_TESTS = {
 # -- the row gate ---------------------------------------------------------
 #
 # Per target, whether its test can return a witness for a relation with
-# point rows R on `space` (see the module docstring). The Lodato sweeps
-# need R transitive and compatible, and compatible is enough: cl{i} is
-# closed, so j in R(i) = cl{i} puts R(j) = cl{j} inside R(i).
-
-
-def _basic_class(space: GroundSpace, rows: tuple[int, ...]) -> bool:
-    return _row_classification(rows) == CLASS_BASIC
-
-
-def _lodato_class(space: GroundSpace, rows: tuple[int, ...]) -> bool:
-    return _row_classification(rows) == CLASS_LODATO
+# point rows R on `space` (see the module docstring). Such a relation is
+# `basic` where R is not transitive and `ef` where it is, never `lodato`
+# (F6). The Lodato sweeps need R transitive and compatible, and
+# compatible is enough: cl{i} is closed, so j in R(i) = cl{i} puts
+# R(j) = cl{j} inside R(i).
 
 
 def _intransitive(space: GroundSpace, rows: tuple[int, ...]) -> bool:
     return not _rows_transitive(rows)
 
 
+def _never(space: GroundSpace, rows: tuple[int, ...]) -> bool:
+    return False
+
+
 _TARGET_GATES = {
-    "basic-not-lodato": _basic_class,
-    "lodato-not-ef": _lodato_class,
-    "far-not-strongly-far": _lodato_class,
+    "basic-not-lodato": _intransitive,
+    "lodato-not-ef": _never,
+    "far-not-strongly-far": _never,
     "sf-not-hat": _rows_compatible,
     "lemma37-violation": _rows_compatible,
     "incomparable-topologies": _intransitive,

@@ -514,21 +514,6 @@ class Metric:
     def n(self) -> int:
         return len(self.rows)
 
-    def gap(self, a_mask: int, b_mask: int) -> Optional[Fraction]:
-        """min d(a,b) over a in A, b in B; None when either side is empty."""
-        if a_mask == 0 or b_mask == 0:
-            return None
-        best: Optional[Fraction] = None
-        for i in bits_of(a_mask):
-            row = self.rows[i]
-            for j in bits_of(b_mask):
-                d = row[j]
-                if best is None or d < best:
-                    best = d
-                    if best == 0:
-                        return best
-        return best
-
     def distance_values(self) -> tuple[Fraction, ...]:
         """Distinct off-diagonal distances, ascending."""
         vals = {self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n)}

@@ -6,7 +6,8 @@ partition topology (the compatible Lodato backbone), overlap on
 enumerated and randomized topologies, randomized gap metrics with
 thresholds drawn from their distance multisets, and Alexandroff
 relations with randomized principal ideals. Everything is seeded, so the
-corpus is byte-identical across runs.
+corpus is byte-identical across runs. `table_models` builds the search's
+explicit tables, non-basic ones included.
 """
 
 import random
@@ -25,7 +26,7 @@ from proxitop import (
     overlap_proximity,
     point_generated_proximity,
 )
-from proxitop.search import _partition_space_of, _random_topology
+from proxitop.search import _exhaustive_stage, _random_topology
 
 SEED = 20240831
 
@@ -56,6 +57,12 @@ def _random_line_metric(n, rng):
     )
 
 
+def table_models(n):
+    """(name, model) of each explicit table the search enumerates on n points."""
+    for name, _, build in _exhaustive_stage("table", n):
+        yield name, build()
+
+
 def build_corpus() -> list[CorpusModel]:
     rng = random.Random(SEED)
     models: list[CorpusModel] = []
@@ -74,7 +81,7 @@ def build_corpus() -> list[CorpusModel]:
             rel = PointRelation.from_pairs(
                 n, [(i, j) for block in blocks for i in block for j in block if i < j]
             )
-            space = _partition_space_of(rel)
+            space = GroundSpace.from_minimal_neighbourhoods(rel.rows)
             models.append(
                 CorpusModel(f"eq-n{n}-{idx}", space, point_generated_proximity(space, rel))
             )

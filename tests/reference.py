@@ -1,10 +1,20 @@
 """Reference checkers: the plain lexicographic loops, kept for differential tests.
 
+`reference_rule` is the paper's definition of each constructor's
+relation, the rule the point-generated constructors carried before their
+point rows became their only description: closures meet (overlap, read
+by `scan_closure`), the least distance is at most epsilon (gap, by
+`metric_gap`), closures meet or both leave the ideal (Alexandroff), some
+pair of points is related (point relation). A table, a derived
+strongly-far relation and a custom relation keep their own rule, and
+`reference_rule` returns it. `matrix_twin` is the same relation with no
+point rows, so that its dense matrix is filled from that definition.
+
 `axiom_witnesses` is the sweep `check_axioms` ran before the dense-matrix
 kernel: for each axiom it walks pairs or triples of masks in ascending
 order through a `near` predicate and returns the first violation. It sees
-a relation only through `rule_near`, which calls the relation's rule
-directly, so it never touches the matrix under test. `topology_witnesses`
+a relation only through `rule_near`, which calls `reference_rule`, so it
+never touches the kernel or the matrix under test. `topology_witnesses`
 is the pair scan of the open-family axioms. `close_under_intersection`
 and `base_refines` are the hyperspace refinement test that enumerated
 every finite intersection of a subbase before minimal neighbourhoods
@@ -54,7 +64,7 @@ and intersection until nothing changes.
 from itertools import permutations
 
 from proxitop.hyperspace import far_miss_set, sf_miss_set
-from proxitop.proximity import AXIOM_NAMES, check_axioms
+from proxitop.proximity import AXIOM_NAMES, ProximityRelation, check_axioms
 from proxitop.search import (
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
@@ -66,10 +76,51 @@ from proxitop.search import (
 from proxitop.spaces import GroundSpace, all_masks, bits_of
 
 
+def metric_gap(metric, a, b):
+    """min d(i, j) over i in A, j in B; None when either side is empty."""
+    gaps = [metric.rows[i][j] for i in bits_of(a) for j in bits_of(b)]
+    return min(gaps) if gaps else None
+
+
+def reference_rule(prox):
+    """The relation's definition, as a rule on masks (see the module docstring)."""
+    space, kind, params = prox.space, prox.kind, prox.params
+    if kind in ("overlap", "alexandroff"):
+        cl = [scan_closure(space, m) for m in all_masks(space.n)]
+    if kind == "overlap":
+        return lambda a, b: cl[a] & cl[b] != 0
+    if kind == "gap":
+        metric, eps = params["metric"], params["epsilon"]
+
+        def within(a, b):
+            gap = metric_gap(metric, a, b)
+            return gap is not None and gap <= eps
+
+        return within
+    if kind == "alexandroff":
+        members = params["ideal"].members
+
+        def meet_or_escape(a, b):
+            if a == 0 or b == 0:
+                return False
+            return cl[a] & cl[b] != 0 or (cl[a] not in members and cl[b] not in members)
+
+        return meet_or_escape
+    if kind == "point_relation":
+        rows = params["relation"].rows
+        return lambda a, b: any(rows[i] & b for i in bits_of(a))
+    return prox._rule
+
+
+def matrix_twin(prox):
+    """The same relation without point rows: its matrix is filled from `reference_rule`."""
+    return ProximityRelation(prox.space, prox.kind, reference_rule(prox), prox.params)
+
+
 def rule_near(prox):
-    """The relation's own rule, memoized under the unordered pair."""
+    """`reference_rule`, memoized under the unordered pair."""
     memo = {}
-    rule = prox._rule
+    rule = reference_rule(prox)
 
     def near(a, b):
         key = (a, b) if a <= b else (b, a)

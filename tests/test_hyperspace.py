@@ -34,7 +34,8 @@ from proxitop import (
 )
 from proxitop.hyperspace import MISS_ONLY_KINDS, TOPOLOGY_KINDS, HyperTopologyBase
 from proxitop.modelfile import parse_file
-from proxitop.search import _table_models, enumerate_topologies
+from proxitop.search import enumerate_topologies
+from corpus import table_models
 from reference import (
     base_refines,
     close_under_intersection,
@@ -414,7 +415,7 @@ class TestHitMissAgainstReference:
 
 
 class TestFarMissAgainstReference:
-    """far_miss_set's neighbourhood-table reads against the per-pair loop on the rule."""
+    """far_miss_set's neighbourhood-table reads against the per-pair loop on the definition."""
 
     @staticmethod
     def assert_matches_reference(prox, opens):
@@ -448,7 +449,7 @@ class TestFarMissAgainstReference:
         # table is refused before its matrix is built, past the cap too.
         basic = 0
         for n in (1, 2):
-            for _, model in _table_models(n):
+            for _, model in table_models(n):
                 prox = model.proximity
                 if check_axioms(prox).is_basic:
                     self.assert_matches_reference(prox, model.space.opens)

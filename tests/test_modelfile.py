@@ -25,12 +25,13 @@ from proxitop.search import (
     STATUS_WITNESS,
     TARGET_NAMES,
     SearchTarget,
-    _table_models,
     candidate_models,
     enumerate_topologies,
     search,
 )
 from proxitop.spaces import GroundSpace, Metric, PointSet
+from corpus import table_models
+from reference import metric_gap
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -48,7 +49,7 @@ class TestGoldenFiles:
         assert model.space.n == 10
         assert model.proximity.kind == "gap"
         assert model.proximity.params["epsilon"] == 1
-        assert model.metric.gap(model.subsets["A"], model.subsets["B"]) == 9
+        assert metric_gap(model.metric, model.subsets["A"], model.subsets["B"]) == 9
 
     def test_alexandroff_ideal(self):
         model = parse_file(MODELS / "alexandroff_ideal.yaml")
@@ -518,7 +519,7 @@ def five_point_table():
 class TestTableSerialization:
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_small_table(self, n):
-        for _, model in _table_models(n):
+        for _, model in table_models(n):
             text = serialize(model)
             assert text == per_pair_table_text(model)
             assert serialize(parse(text)) == text

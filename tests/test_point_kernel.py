@@ -4,16 +4,17 @@ A point-generated relation answers `check_axioms`, `strongly_far`, the
 far-miss and sf-miss families and the strong-layer sweeps from its
 neighbourhood table N alone. The axiom verdicts and exact witnesses are
 compared with `_matrix_witnesses` on a twin relation that has no point
-rows, so that its matrix is filled from the rule, and with the
-`reference` loops. The theorem tests check two facts about point
-relations: the first strongly-far witness is N(A) (F1), and the Lodato
-relations compatible with their topology are the equivalence relations
-on their partition spaces (F3). The derived strongly-far relation of a
-point-generated base is point-generated too (F2: it is generated by
-R∘R), so it settles on the kernel from the rows N(R(i)) of its base.
-Point rows take {i} near {i} as given, which every point-generated rule
-answers yes, and each constructor hands in its rows in closed form
-(F15 for overlap and Alexandroff), equal to the rows its rule gives.
+rows, so that its matrix is filled from the paper's definition
+(`reference.reference_rule`), and with the `reference` loops. The
+theorem tests check two facts about point relations: the first
+strongly-far witness is N(A) (F1), and the Lodato relations compatible
+with their topology are the equivalence relations on their partition
+spaces (F3). The derived strongly-far relation of a point-generated base
+is point-generated too (F2: it is generated by R∘R), so it settles on
+the kernel from the rows N(R(i)) of its base. Point rows take {i} near
+{i} as given, which every point-generated definition answers yes, and
+each constructor hands in its rows in closed form (F15 for overlap and
+Alexandroff), equal to the rows its definition gives.
 """
 
 import random
@@ -26,7 +27,6 @@ from proxitop import (
     GroundSpace,
     Metric,
     PointRelation,
-    ProximityRelation,
     alexandroff_proximity,
     check_axioms,
     check_far_vs_sf,
@@ -43,16 +43,18 @@ from proxitop import (
 )
 from proxitop.strong import derived_near_from_sf
 from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses
-from proxitop.search import _pair_order, _partition_space_of, _random_topology
-from reference import axiom_witnesses, raw_strongly_far, rule_near, singleton_rows
+from proxitop.search import _pair_order, _random_topology
+from reference import (
+    axiom_witnesses,
+    matrix_twin,
+    raw_strongly_far,
+    reference_rule,
+    rule_near,
+    singleton_rows,
+)
 
 # The reference loops sweep triples of masks, so they run up to this many points.
 REFERENCE_MAX_N = 5
-
-
-def matrix_twin(prox):
-    """The same relation without point rows: its matrix is filled from the rule."""
-    return ProximityRelation(prox.space, prox.kind, prox._rule, prox.params)
 
 
 def assert_kernel_matches(make):
@@ -79,8 +81,8 @@ def point_relation_makers():
         discrete = GroundSpace.discrete(n)
         for rel in enumerate_point_relations(n):
             yield lambda rel=rel, s=discrete: point_generated_proximity(s, rel)
-            partition = _partition_space_of(rel)
-            if partition is not None:
+            if rel.is_transitive():
+                partition = GroundSpace.from_minimal_neighbourhoods(rel.rows)
                 yield lambda rel=rel, s=partition: point_generated_proximity(s, rel)
 
 
@@ -153,10 +155,11 @@ def test_the_matrix_is_never_built():
 
 
 def test_point_generated_rules_are_reflexive():
-    """Point rows take {i} near {i} as given; every point-generated
-    constructor's rule says so on every labelled topology with n <= 3,
-    and so does the derived strongly-far relation of each. The rows each
-    constructor hands in are the ones its rule gives."""
+    """Point rows take {i} near {i} as given; the definition of every
+    point-generated constructor's relation (`reference_rule`) says so on
+    every labelled topology with n <= 3, and so does the rule of the
+    derived strongly-far relation of each. The rows each constructor
+    hands in are the ones that definition gives."""
     checked = 0
     for n in (1, 2, 3):
         metric = Metric.line(n)
@@ -172,9 +175,10 @@ def test_point_generated_rules_are_reflexive():
             bases += [gap_proximity(space, metric, e) for e in (0,) + metric.distance_values()]
             bases += [point_generated_proximity(space, rel) for rel in relations]
             for prox in bases + [derived_near_from_sf(b) for b in bases]:
-                assert prox._point_rows() == singleton_rows(n, prox._rule), prox
+                rule = reference_rule(prox)
+                assert prox._point_rows() == singleton_rows(n, rule), prox
                 for i in range(n):
-                    assert prox._rule(1 << i, 1 << i), (opens, prox, i)
+                    assert rule(1 << i, 1 << i), (opens, prox, i)
                 checked += 1
     # Per topology: overlap, the complete point relation, an Alexandroff
     # relation per closed set, a gap per epsilon and every point relation;
@@ -186,7 +190,7 @@ def test_f2_the_derived_relation_settles_on_the_kernel():
     """On every point relation with n <= 4 (discrete and partition
     spaces) and every overlap and Alexandroff base on the labelled
     topologies with n <= 3, the derived relation matches its rule-filled
-    twin and the reference loops (run on the base's rule) in every
+    twin and the reference loops (run on the base's definition) in every
     axiom's verdict and witness, in `strongly_far` and in `near` on
     every pair, without building its matrix."""
     bases = 0
@@ -254,14 +258,14 @@ def test_f3_compatible_lodato_models_are_partitions():
         assert len(found) == bell
         for space, rel in found:
             assert rel.is_transitive()
-            assert space.opens == _partition_space_of(rel).opens
+            assert space.opens == GroundSpace.from_minimal_neighbourhoods(rel.rows).opens
 
 
 def test_f15_rows_in_closed_form():
     """F15: for the principal ideal below a closed set `top`, the
     Alexandroff rows are R(i) = U(cl{i}), joined by X\\top when i lies
     outside `top`; the overlap rows are U(cl{i}). Both match the rows read
-    off each rule on every labelled topology with n <= 4 and every closed
+    off each definition on every labelled topology with n <= 4 and every closed
     `top`. The expected rows come from the space's hull and closure
     tables, not from the minimal neighbourhoods the constructors read."""
     cases = 0
@@ -271,12 +275,12 @@ def test_f15_rows_in_closed_form():
             up, cl = space._open_hulls, space.closures
             hulls = tuple(up[cl[1 << i]] for i in range(n))
             overlap = overlap_proximity(space)
-            assert overlap._point_rows() == hulls == singleton_rows(n, overlap._rule), opens
+            assert overlap._point_rows() == hulls == singleton_rows(n, rule_near(overlap)), opens
             for top in space.closed:
                 prox = alexandroff_proximity(space, CompactnessIdeal.principal(space, top))
                 outside = space.full_mask & ~top
                 expected = tuple(h if top >> i & 1 else h | outside for i, h in enumerate(hulls))
-                assert prox._point_rows() == expected == singleton_rows(n, prox._rule), (
+                assert prox._point_rows() == expected == singleton_rows(n, rule_near(prox)), (
                     opens, top,
                 )
                 cases += 1

@@ -34,11 +34,11 @@ from proxitop.search import (
     _TARGET_TESTS,
     _candidates,
     _exhaustive_stage,
-    _table_models,
     candidate_models,
     enumerate_topologies,
     search,
 )
+from corpus import table_models
 from reference import naive_search
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -113,7 +113,7 @@ def test_repeats_are_not_tested(monkeypatch):
     assert outcome.models_checked == 66 + 370
     assert len(calls) == 23
     tested = {m.proximity.params["near_pairs"] for m in calls if m.proximity.kind == "table"}
-    tables = [model.proximity for n in (1, 2) for _, model in _table_models(n)]
+    tables = [model.proximity for n in (1, 2) for _, model in table_models(n)]
     compatible = {
         prox.params["near_pairs"]
         for prox in tables
@@ -258,14 +258,17 @@ def test_stream_keys_are_the_built_models_rows(seed):
 
 
 def test_no_relation_reads_rows_off_its_rule(monkeypatch):
-    """Every constructor, tables included, computes its point rows in
-    closed form: a search of every target at --max-n 4 and `validate` on
-    the overlap, Alexandroff and gap models make no rule call while a row
-    callback runs."""
+    """A search of every target at --max-n 4 and `validate` on the
+    overlap, Alexandroff and gap models build the four point-generated
+    kinds with no rule, only their point rows, and every table with a
+    rule that is not called while its row callback runs: a table's rows
+    come off its pairs."""
     asked = []
+    ruled = {}
     init = ProximityRelation.__init__
 
-    def watched(self, space, kind, rule, params=None, point_rows=None):
+    def watched(self, space, kind, rule=None, params=None, point_rows=None):
+        ruled.setdefault(kind, set()).add(rule is not None)
         reading = []
 
         def guarded(a, b):
@@ -280,7 +283,7 @@ def test_no_relation_reads_rows_off_its_rule(monkeypatch):
             finally:
                 reading.pop()
 
-        init(self, space, kind, guarded, params, point_rows and rows)
+        init(self, space, kind, rule and guarded, params, point_rows and rows)
 
     monkeypatch.setattr(ProximityRelation, "__init__", watched)
     for name in TARGET_NAMES:
@@ -289,3 +292,6 @@ def test_no_relation_reads_rows_off_its_rule(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["validate", str(MODELS / f"{model}.yaml")]) == 0
     assert {"table", "point_relation", "gap", "alexandroff", "overlap"} <= set(asked)
+    for kind in ("point_relation", "gap", "alexandroff", "overlap"):
+        assert ruled[kind] == {False}, kind
+    assert ruled["table"] == {True}

@@ -390,9 +390,7 @@ class TestPartitionSpaces:
 class TestMetric:
     def test_line(self):
         m = Metric.line(4)
-        assert m.gap(0b0001, 0b1000) == 3
-        assert m.gap(0b0011, 0b1100) == 1
-        assert m.gap(0, 0b1) is None
+        assert m.rows[0] == (0, 1, 2, 3) and m.rows[2] == (2, 1, 0, 1)
         assert m.distance_values() == (1, 2, 3)
 
     def test_symmetry_enforced(self):
@@ -403,7 +401,7 @@ class TestMetric:
         rows = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
         with pytest.raises(ToolkitError):
             Metric.from_rows(rows)
-        assert Metric.from_rows(rows, semimetric=True).gap(0b001, 0b100) == 5
+        assert Metric.from_rows(rows, semimetric=True).rows[0][2] == 5
 
     def test_zero_diagonal_and_positivity(self):
         with pytest.raises(ToolkitError):
@@ -437,4 +435,4 @@ class TestMetric:
         m = Metric.from_rows([[0, "1/2"], ["1/2", 0]])
         from fractions import Fraction
 
-        assert m.gap(0b01, 0b10) == Fraction(1, 2)
+        assert m.rows[0][1] == Fraction(1, 2)

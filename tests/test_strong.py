@@ -24,8 +24,8 @@ from proxitop import (
     strongly_far,
     strongly_included,
 )
-from proxitop.search import _table_models
 from proxitop.strong import replay_hat_strongly_far, replay_strongly_far
+from corpus import table_models
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ class TestDerivedRelation:
 
     def test_base_without_point_rows_is_named(self):
         # the table is not basic, yet the relation derived from it is
-        base = dict(_table_models(2))["n2/table/62"].proximity
+        base = dict(table_models(2))["n2/table/62"].proximity
         derived = derived_near_from_sf(base)
         assert not check_axioms(base).is_basic and check_axioms(derived).is_basic
         for operation, call in (

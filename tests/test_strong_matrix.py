@@ -4,9 +4,10 @@
 witness search and the searcher's far-not-strongly-far and sf-not-hat
 tests all used to ask the relation pair by pair. Each is compared here
 with its old loop in `reference`, which sees the relation only through
-its rule: verdicts, counts, examples and exact witnesses must agree.
-A table that is not basic keeps its strongly-far witnesses; the sweeps
-and sf-miss families are defined for a proximity and refuse it.
+its definition (`reference.reference_rule`): verdicts, counts, examples
+and exact witnesses must agree. A table that is not basic keeps its
+strongly-far witnesses; the sweeps and sf-miss families are defined for
+a proximity and refuse it.
 """
 
 import random
@@ -38,16 +39,16 @@ from proxitop.proximity import _far_rows
 from proxitop.search import (
     TARGET_NAMES,
     SearchTarget,
-    _partition_space_of,
-    _table_models,
     _test_far_not_sf,
     _test_sf_not_hat,
     candidate_models,
 )
+from corpus import table_models
 from reference import (
     far_vs_sf,
     first_far_not_sf,
     hat_witness,
+    matrix_twin,
     raw_strongly_far,
     rule_near,
     sf_miss_mask,
@@ -78,15 +79,15 @@ def point_relation_models():
     for n in (1, 2, 3, 4):
         for rel in enumerate_point_relations(n):
             yield point_generated_proximity(GroundSpace.discrete(n), rel)
-            partition = _partition_space_of(rel)
-            if partition is not None:
+            if rel.is_transitive():
+                partition = GroundSpace.from_minimal_neighbourhoods(rel.rows)
                 yield point_generated_proximity(partition, rel)
 
 
 def small_tables():
     """Every table with n <= 2 on the discrete space, non-basic ones included."""
     for n in (1, 2):
-        for _, model in _table_models(n):
+        for _, model in table_models(n):
             yield model.proximity
 
 
@@ -105,8 +106,9 @@ def assert_strong_layer_matches_reference(prox):
     n = space.n
     near = rule_near(prox)
 
-    # the first witness C is the low bit of flipped[a] & far[b]
-    far, flipped = _far_rows(prox)
+    # the first witness C is the low bit of flipped[a] & far[b], read off
+    # the matrix of the definition
+    far, flipped = _far_rows(matrix_twin(prox))
     for a in range(1, 1 << n):
         for b in range(1, 1 << n):
             expected = raw_strongly_far(near, n, a, b)

@@ -13,15 +13,10 @@ axiom and witness as that twin does.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxitop import GroundSpace, ProximityRelation, check_axioms, table_proximity
+from proxitop import GroundSpace, check_axioms, table_proximity
 from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses, _point_witnesses
 from proxitop.spaces import bits_of, union_table
-from reference import singleton_rows
-
-
-def matrix_twin(prox):
-    """The same relation without point rows: its matrix is filled from the rule."""
-    return ProximityRelation(prox.space, prox.kind, prox._rule, prox.params)
+from reference import matrix_twin, singleton_rows
 
 
 def written_out(n, rows):
