@@ -4,21 +4,20 @@ Everything in this package enumerates subsets of a finite ground set, so
 costs grow like 2^n (subsets) or 4^n (pairs of subsets). A cap bounds a
 table that is built or a sweep over every pair, and nothing else. A
 basic proximity lives in a 2^n-entry neighbourhood table, bounded by the
-ground-set cap alone; the theorem sweeps over all far pairs or all
-pairs of opens are bounded by DEFAULT_EXHAUSTIVE_CAP. A relation that is
-not basic has no such table: only its axiom report needs the 4^n-bit
-dense matrix, bounded by the same cap, and the hyperspace layer refuses
-it without building one. Per-pair witness searches (at most 2^n
-candidates) have no cap of their own.
+ground-set cap alone. A relation that is not basic settles on a dense
+4^n-bit matrix; a table's is bounded by its listed pairs, and the one
+derived from it, the axiom report read off either, and the sweeps over
+every strongly-far pair or pair of opens by DEFAULT_EXHAUSTIVE_CAP.
+Per-pair witness searches (at most 2^n candidates) have no cap.
 """
 
 # Ground sets larger than this are rejected at construction time.
 MAX_GROUND_POINTS = 16
 
-# The axiom report of a relation that is not basic, which builds its
-# dense near matrix (4^n bits), and the sweeps over every far pair (up
-# to 3^n) or pair of opens, refuse to run above this many points. Only
-# `check_axioms` takes it as a keyword.
+# Above this many points the axiom report on a dense matrix, the dense
+# matrix of a relation derived from one with no point rows, and the
+# sweeps over every strongly-far pair (up to 3^n) or pair of opens
+# refuse to run. Only `check_axioms` takes it as a keyword.
 DEFAULT_EXHAUSTIVE_CAP = 10
 
 # Maximum number of hyperpoints (nonempty closed sets) in CL(X).

@@ -39,60 +39,54 @@ CLASS_EF = "ef"
 class ProximityRelation:
     """A total symmetric relation over pairs of subset masks.
 
-    A point-generated relation is described by its point rows alone:
-    its constructor passes `point_rows`, a callback asked once, on first
-    use, for R(i) = {j : {i} near {j}} (R(i) holds i by P2), computed in
-    closed form, and no rule. On a finite set a relation is basic (P0-P3)
-    iff its point rows generate it, so a relation with rows is a
+    A relation settles once, on first use, on one table. Its constructor
+    passes `point_rows`, a callback asked for R(i) = {j : {i} near {j}}
+    (R(i) holds i by P2), computed in closed form, or None when the
+    relation is not point-generated. On a finite set a relation is basic
+    (P0-P3) iff its point rows generate it, so a relation with rows is a
     proximity; the hyperspace layer and the sweeps over far pairs take
-    only such a relation (`_require_neighbourhoods`). It settles at its
-    first `near` on its neighbourhood table: N[a], the union of R(i) over
-    i in a, by one OR per mask, and a near b iff N[a] meets b. The table,
-    2^n ints, is the only representation such a relation needs.
+    only such a relation (`_require_neighbourhoods`). It settles on its
+    neighbourhood table: N[a], the union of R(i) over i in a, by one OR
+    per mask, and a near b iff N[a] meets b. The table, 2^n ints, is the
+    only representation such a relation needs.
 
-    A relation that can lack rows (a table, the derived strongly-far
-    relation) also passes `rule`, called with the unordered pair
-    (a <= b), so symmetry (P0) holds structurally; its `point_rows`
-    returns None when the relation is not point-generated after all (a
-    table that is not basic, and the derived relation on such a base).
-    Such a relation calls the rule on every `near` until its first
-    exhaustive sweep (`matrix`) settles it on a dense bit matrix of 4^n
-    bits, which serves its axiom report and its strongly-far witness
-    search. Nothing is kept per pair before a relation settles. A rule
-    or a row callback that reads closure raises InvalidTopologyError on a
-    family that is not a topology.
+    A relation that can lack rows (a table that is not basic, the derived
+    strongly-far relation on such a base) also passes `matrix`, a
+    callback for its dense near matrix of 4^n bits, symmetric, bit b of
+    row a saying whether a near b. Without rows it settles on that
+    matrix, which serves `near`, its axiom report and its strongly-far
+    witness search. A row callback that reads closure raises
+    InvalidTopologyError on a family that is not a topology.
 
-    `eval_count` is the number of rule calls `near` has made before the
-    relation settles, and all 2^n (2^n + 1) / 2 unordered pairs once it
+    `eval_count` is the number of pairs the relation has determined: 0
+    before it settles, and all 2^n (2^n + 1) / 2 unordered pairs once it
     has. The tests, `tests/reference.py::naive_search` and the
     benchmark's traces read it; `search` counts its budget itself.
     """
 
     __slots__ = (
-        "space", "kind", "params", "_rule", "eval_count", "_rows", "_singletons", "_nbhd",
-        "_pending_rows",
+        "space", "kind", "params", "eval_count", "_rows", "_singletons", "_nbhd",
+        "_pending_rows", "_pending_matrix",
     )
 
     def __init__(
         self,
         space: GroundSpace,
         kind: str,
-        rule: Optional[Callable[[int, int], bool]] = None,
         params: Optional[dict] = None,
         point_rows: Optional[Callable[[], Optional[tuple[int, ...]]]] = None,
+        matrix: Optional[Callable[[], list[int]]] = None,
     ):
         self.space = space
         self.kind = kind
         self.params = params or {}
-        self._rule = rule
         self.eval_count = 0
         self._rows: Optional[list[int]] = None
         self._singletons: Optional[tuple[int, ...]] = None
         self._nbhd: Optional[list[int]] = None
-        # Where a relation with a rule gives rows, the rule is additive with
-        # that reflexive, symmetric R, which the axiom kernel relies on.
-        # Cleared once answered.
+        # Each callback is cleared once answered.
         self._pending_rows = point_rows
+        self._pending_matrix = matrix
 
     def near(self, a: int, b: int) -> bool:
         nbhd = self._nbhd
@@ -103,8 +97,7 @@ class ProximityRelation:
             return rows[a] >> b & 1 == 1
         if self._neighbourhoods() is not None:
             return self._nbhd[a] & b != 0
-        self.eval_count += 1
-        return self._rule(a, b) if a <= b else self._rule(b, a)
+        return self.matrix()[a] >> b & 1 == 1
 
     def far(self, a: int, b: int) -> bool:
         return not self.near(a, b)
@@ -114,7 +107,7 @@ class ProximityRelation:
 
         The constructor's `point_rows` is asked until it returns, so a
         callback that raises raises again on the next call; reading R
-        settles the relation, so `eval_count` counts every pair from then on.
+        settles the relation.
         """
         pending = self._pending_rows
         if pending is not None:
@@ -141,22 +134,19 @@ class ProximityRelation:
     def matrix(self) -> list[int]:
         """The dense near matrix: bit b of `rows[a]` says whether a near b.
 
-        Built on first use by calling `rule` once per unordered pair; only
-        a relation with no point rows, which always has a rule, needs it.
+        On a point-generated relation row a is the set of masks meeting
+        N(a), read off the per-n mask table and not kept. Any other
+        relation builds it once from its `matrix` callback and settles on it.
         """
         if self._rows is None:
+            nbhd = self._neighbourhoods()
+            if nbhd is not None:
+                meets = _mask_tables(self.space.n)[0]
+                return [meets[na] for na in nbhd]
             size = 1 << self.space.n
-            rows = [0] * size
-            rule = self._rule
-            for a in range(size):
-                row = rows[a]
-                for b in range(a, size):
-                    if rule(a, b):
-                        row |= 1 << b
-                        rows[b] |= 1 << a
-                rows[a] = row
+            self._rows = self._pending_matrix()
+            self._pending_matrix = None
             self.eval_count = size * (size + 1) // 2
-            self._rows = rows
         return self._rows
 
     def __repr__(self) -> str:
@@ -174,7 +164,7 @@ def _require_neighbourhoods(prox: ProximityRelation, operation: str) -> list[int
             # off its base's, and the base has none.
             raise InvalidModelError(
                 f"{operation} needs point rows; this derived-sf relation has none "
-                f"because its {prox.params['base']} base is not a basic proximity (P0-P3)",
+                f"because its {prox.params['base'].kind} base is not a basic proximity (P0-P3)",
                 "proximity",
             )
         raise InvalidModelError(
@@ -431,8 +421,9 @@ def table_proximity(
     Unlike the point-generated constructors nothing is enforced, so a
     table can violate any axiom; that is the point of loading one. A basic
     table gets its point rows off its singleton pairs (`_table_rows`),
-    so it runs on its neighbourhood table like every other proximity.
-    Reading them reads no closure, so `near` and `far` on a table keep
+    so it runs on its neighbourhood table like every other proximity;
+    any other table builds its matrix from its pairs, two ORs per listed
+    pair. Neither reads closure, so `near` and `far` on a table keep
     answering on a family that is not a topology: the pairs are the
     whole description, and the axiom report, the strongly-far layer and
     the hyperspace layer each refuse that family on their own.
@@ -443,12 +434,16 @@ def table_proximity(
         if a & ~full or b & ~full:
             raise ToolkitError("table pair uses bits beyond point count")
 
-    def rule(a: int, b: int) -> bool:
-        return (a, b) in table
+    def matrix() -> list[int]:
+        rows = [0] * (full + 1)
+        for a, b in table:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return rows
 
     return ProximityRelation(
-        space, "table", rule, {"near_pairs": table},
-        point_rows=lambda: _table_rows(space.n, table),
+        space, "table", {"near_pairs": table},
+        point_rows=lambda: _table_rows(space.n, table), matrix=matrix,
     )
 
 

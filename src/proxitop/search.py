@@ -89,7 +89,7 @@ from .proximity import (
     point_generated_proximity,
     table_proximity,
 )
-from .spaces import GroundSpace, Metric, all_masks, bits_of
+from .spaces import GroundSpace, Metric, all_masks, bits_of, unions_of
 from .strong import check_sf_implies_hat, hat_strongly_far, strongly_far
 
 TARGET_NAMES = (
@@ -216,10 +216,7 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[tuple[int, ..
             up[i] |= 1 << j
         if any(up[j] & ~u for u in up for j in bits_of(u)):
             continue  # not transitive
-        opens = {0}
-        for u in up:
-            opens |= {m | u for m in opens}
-        found.append(tuple(sorted(opens)))
+        found.append(tuple(sorted(unions_of(up))))
     found.sort()
     if not up_to_iso:
         return tuple(found)
@@ -352,7 +349,7 @@ def _exhaustive_stage(kind: str, n: int) -> tuple[Entry, ...]:
 
     It holds names, keys and the immutable spaces, ideals, point
     relations and metrics each `build` closes over; every `build()`
-    makes a fresh model whose relation has made no rule call yet.
+    makes a fresh model whose relation has not settled yet.
     """
     return tuple(_STAGES[kind](n))
 

@@ -42,6 +42,15 @@ def union_table(rows: Sequence[int]) -> list[int]:
     return table
 
 
+def unions_of(ups: Iterable[int]) -> set[int]:
+    """Every union of the sets in `ups`, the empty one included: the opens
+    of the topology whose minimal neighbourhoods U_p they are."""
+    unions = {0}
+    for u in ups:
+        unions |= {m | u for m in unions}
+    return unions
+
+
 def all_masks(n: int) -> range:
     """All subset masks of an n-point set, ascending (2^n of them)."""
     return range(1 << n)
@@ -195,10 +204,7 @@ class GroundSpace:
                     raise ToolkitError(
                         f"neighbourhood of point {p} must hold that of point {q}"
                     )
-        opens = {0}
-        for u in ups:
-            opens |= {m | u for m in opens}
-        space = cls(points, tuple(opens))
+        space = cls(points, tuple(unions_of(ups)))
         # cached_property reads the instance dict first.
         space.__dict__["_minimal_neighbourhoods"] = tuple(ups)
         space.__dict__["topology_report"] = TopologyReport(True, True, None, None)
@@ -373,16 +379,18 @@ def validate_topology(space: GroundSpace) -> TopologyReport:
     """Check the open family for the finite-topology axioms.
 
     Closure under arbitrary unions reduces to pairwise closure on a
-    finite family. A family generated by its minimal neighbourhoods is
-    closed under both and needs no scan; any other family is scanned
-    pair by pair, and the first violating pair in ascending mask order
-    is reported.
+    finite family. Every member O is the union of the U_p = AND{O : p in
+    O} for p in O, and the unions of the U_p are closed under union and
+    intersection (q in U_p puts U_q inside U_p). So a family equal to
+    those unions needs no scan; any other family is scanned pair by
+    pair, and the first violating pair in ascending mask order is
+    reported.
     """
     opens = space.opens
     members = set(opens)
     union_witness = None
     intersection_witness = None
-    if not _generated_by_minimal_neighbourhoods(space._minimal_neighbourhoods, members):
+    if unions_of(space._minimal_neighbourhoods) != members:
         for i, a in enumerate(opens):
             for b in opens[i:]:
                 if union_witness is None and (a | b) not in members:
@@ -397,22 +405,6 @@ def validate_topology(space: GroundSpace) -> TopologyReport:
         union_witness=union_witness,
         intersection_witness=intersection_witness,
     )
-
-
-def _generated_by_minimal_neighbourhoods(ups: Sequence[int], members: set[int]) -> bool:
-    """Is the family exactly the unions of the sets U_p = AND{O : p in O}?
-
-    Every member O is the union of the U_p for p in O, so the family lies
-    inside those unions; and the unions are closed under union and
-    intersection (q in U_p implies U_q inside U_p). Equality therefore
-    proves both closure laws in O(n |family|) set operations.
-    """
-    unions = {0}
-    for u in ups:
-        unions |= {m | u for m in unions}
-        if len(unions) > len(members):
-            return False
-    return unions == members
 
 
 # -- closure / interior / separation ----------------------------------

@@ -22,11 +22,14 @@ quantify over nonempty sets only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, DEFAULT_EXHAUSTIVE_CAP
-from .proximity import ProximityRelation, _require_neighbourhoods, check_axioms, is_compatible
-from .spaces import GroundSpace, all_masks, regular_open_hull
+from .proximity import (
+    ProximityRelation, _far_rows, _require_neighbourhoods, check_axioms, is_compatible,
+)
+from .spaces import GroundSpace, all_masks, bits_of, regular_open_hull
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,11 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
     On a point-generated base with rows R, {i} is strongly far from {j}
     iff R(i) misses R(j), and A from B iff N(A) misses N(B): the derived
     relation is generated by R∘R, whose rows are N(R(i)) (F2), so it
-    settles on its neighbourhood table, never on the matrix.
+    settles on its neighbourhood table. On any other base it settles on
+    a matrix read off the base's far rows: a far pair (a, b) is strongly
+    far iff `flipped[a] & far[b]` (`_far_rows`). That build is dense, so
+    past DEFAULT_EXHAUSTIVE_CAP points it raises CapExceededError.
     """
-
-    def derived(a: int, b: int) -> bool:
-        return _raw_strongly_far(prox, a, b) is None
 
     def squared_rows() -> Optional[tuple[int, ...]]:
         rows = prox._point_rows()
@@ -144,25 +147,43 @@ def derived_near_from_sf(prox: ProximityRelation) -> ProximityRelation:
         nbhd = prox._neighbourhoods()
         return tuple(nbhd[row] for row in rows)
 
+    def matrix() -> list[int]:
+        n = prox.space.n
+        if n > DEFAULT_EXHAUSTIVE_CAP:
+            raise CapExceededError("derived_near_from_sf", n, DEFAULT_EXHAUSTIVE_CAP)
+        far, flipped = _far_rows(prox)
+        everything = (1 << (1 << n)) - 1
+        return [
+            everything ^ sum(1 << b for b in bits_of(far_a) if flipped_a & far[b])
+            for far_a, flipped_a in zip(far, flipped)
+        ]
+
     return ProximityRelation(
-        prox.space, "derived-sf", derived, {"base": prox.kind}, point_rows=squared_rows
+        prox.space, "derived-sf", {"base": prox}, point_rows=squared_rows, matrix=matrix
     )
 
 
-def _far_pairs(nbhd: list[int]) -> Iterator[tuple[int, int, bool]]:
-    """Every far pair (a, b) of nonempty masks, ascending, and whether it is
-    strongly far, read off the neighbourhood table N.
+def _far_pairs(nbhd: list[int], strong: bool) -> Iterator[tuple[int, int]]:
+    """Every far pair (a, b) of nonempty masks that is strongly far, or
+    every one that is not, ascending, read off the neighbourhood table N.
 
-    The far partners of a are the nonempty submasks of X\\N(a), visited in
-    ascending order, and b is strongly far iff it misses N(N(a)).
+    The far partners of a are the nonempty submasks of X\\N(a), and b is
+    strongly far iff it misses N(N(a)) (F1). So the strongly-far partners
+    are the nonempty submasks of X\\N(N(a)), and the others exist only
+    where N(N(a)) leaves N(a).
     """
     full = len(nbhd) - 1
     for a in range(1, len(nbhd)):
         outside = full ^ nbhd[a]
-        reach = nbhd[nbhd[a]]
+        reach = nbhd[nbhd[a]] & outside
+        if strong:
+            outside ^= reach
+        elif not reach:
+            continue
         b = outside & -outside
         while b:
-            yield a, b, not b & reach
+            if strong or b & reach:
+                yield a, b
             b = (b - outside) & outside
 
 
@@ -218,9 +239,7 @@ def check_sf_implies_hat(space: GroundSpace, prox: ProximityRelation) -> LodatoS
     nbhd = _require_neighbourhoods(prox, "check_sf_implies_hat")
     hulls, up = space.regular_open_hulls, space._open_hulls
     violations = tuple(
-        (a, b)
-        for a, b, strong in _far_pairs(nbhd)
-        if strong and hulls[up[a]] & hulls[up[b]]
+        (a, b) for a, b in _far_pairs(nbhd, True) if hulls[up[a]] & hulls[up[b]]
     )
     return LodatoSweepReport(True, "checked", space.full_mask ** 2, violations)
 
@@ -244,26 +263,22 @@ def check_far_vs_sf(prox: ProximityRelation, *, examples_cap: int = 5) -> FarVsS
     """Classify every far pair of nonempty subsets by strong farness.
 
     Reads the neighbourhood table, so the relation must be a basic
-    proximity (InvalidModelError at `proximity` otherwise). Up to 3^n far
-    pairs are visited, so DEFAULT_EXHAUSTIVE_CAP bounds the sweep. Needs
-    a topology.
+    proximity (InvalidModelError at `proximity` otherwise). The far
+    partners of a nonempty a are the nonempty masks inside X\\N(a), and
+    its strongly-far ones those inside X\\N(N(a)), so both counts are
+    one pass over N (F9). Each example list comes from the ascending walk
+    over its kind of far pair (`_far_pairs`), stopped once it holds
+    min(`examples_cap`, its count). Needs a topology.
     """
     prox.space._require_topology()
     n = prox.space.n
-    if n > DEFAULT_EXHAUSTIVE_CAP:
-        raise CapExceededError("check_far_vs_sf", n, DEFAULT_EXHAUSTIVE_CAP)
     nbhd = _require_neighbourhoods(prox, "check_far_vs_sf")
-    both = 0
-    far_only = 0
-    ex_both: list[tuple[int, int]] = []
-    ex_far: list[tuple[int, int]] = []
-    for a, b, strong in _far_pairs(nbhd):
-        if strong:
-            both += 1
-            if len(ex_both) < examples_cap:
-                ex_both.append((a, b))
-        else:
-            far_only += 1
-            if len(ex_far) < examples_cap:
-                ex_far.append((a, b))
-    return FarVsSfReport(both, far_only, tuple(ex_both), tuple(ex_far))
+    far = both = 0
+    for na in nbhd[1:]:
+        far += (1 << n - na.bit_count()) - 1
+        both += (1 << n - nbhd[na].bit_count()) - 1
+
+    def first(strong: bool, count: int) -> tuple[tuple[int, int], ...]:
+        return tuple(islice(_far_pairs(nbhd, strong), max(0, min(examples_cap, count))))
+
+    return FarVsSfReport(both, far - both, first(True, both), first(False, far - both))

@@ -1,14 +1,15 @@
 """Reference checkers: the plain lexicographic loops, kept for differential tests.
 
 `reference_rule` is the paper's definition of each constructor's
-relation, the rule the point-generated constructors carried before their
-point rows became their only description: closures meet (overlap, read
+relation, the rule each constructor carried before point rows or a
+dense matrix became its only description: closures meet (overlap, read
 by `scan_closure`), the least distance is at most epsilon (gap, by
 `metric_gap`), closures meet or both leave the ideal (Alexandroff), some
-pair of points is related (point relation). A table, a derived
-strongly-far relation and a custom relation keep their own rule, and
-`reference_rule` returns it. `matrix_twin` is the same relation with no
-point rows, so that its dense matrix is filled from that definition.
+pair of points is related (point relation), the pair is listed (table),
+and no separating set exists (derived strongly-far: `raw_strongly_far`
+over the base's own definition). It reads no state of the relation but
+its parameters. `matrix_twin` is the same relation with no point rows,
+its dense matrix filled from that definition.
 
 `axiom_witnesses` is the sweep `check_axioms` ran before the dense-matrix
 kernel: for each axiom it walks pairs or triples of masks in ascending
@@ -109,12 +110,31 @@ def reference_rule(prox):
     if kind == "point_relation":
         rows = params["relation"].rows
         return lambda a, b: any(rows[i] & b for i in bits_of(a))
-    return prox._rule
+    if kind == "table":
+        pairs = params["near_pairs"]
+        return lambda a, b: ((a, b) if a <= b else (b, a)) in pairs
+    if kind == "derived-sf":
+        base_near, n = rule_near(params["base"]), space.n
+        return lambda a, b: raw_strongly_far(base_near, n, a, b) is None
+    raise ValueError(f"no definition for a {kind} relation")
 
 
 def matrix_twin(prox):
-    """The same relation without point rows: its matrix is filled from `reference_rule`."""
-    return ProximityRelation(prox.space, prox.kind, reference_rule(prox), prox.params)
+    """The same relation without point rows: its matrix is filled from
+    `reference_rule`, one call per unordered pair."""
+    size = 1 << prox.space.n
+    rule = reference_rule(prox)
+
+    def matrix():
+        rows = [0] * size
+        for a in range(size):
+            for b in range(a, size):
+                if rule(a, b):
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+        return rows
+
+    return ProximityRelation(prox.space, prox.kind, prox.params, matrix=matrix)
 
 
 def rule_near(prox):

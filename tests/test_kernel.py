@@ -185,77 +185,73 @@ def test_topology_validation_matches_pair_scan(space):
     )
 
 
+def _overlap_matrix(calls):
+    """A matrix callback for "a meets b" on two points, logging each call."""
+
+    def matrix():
+        calls.append(1)
+        return [sum(1 << b for b in range(4) if a & b) for a in range(4)]
+
+    return matrix
+
+
 class TestMatrix:
     def test_rows_agree_with_rule(self):
-        """`near` agrees with the definition on every relation, and so
-        does the matrix of every relation that has a rule, the only kind
-        the matrix serves."""
+        """`near` and the dense matrix agree with the definition on every
+        relation: a point-generated one reads its matrix rows off N."""
         for name, make in CONSTRUCTORS.items():
             prox = make()
             near = rule_near(prox)
-            rows = None if prox._rule is None else prox.matrix()
+            rows = prox.matrix()
             for a in all_masks(prox.space.n):
                 for b in all_masks(prox.space.n):
                     assert prox.near(a, b) == near(a, b), (name, a, b)
-                    if rows is not None:
-                        assert (rows[a] >> b & 1 == 1) == near(a, b), (name, a, b)
+                    assert (rows[a] >> b & 1 == 1) == near(a, b), (name, a, b)
 
     def test_eval_count_counts_determined_pairs(self):
-        """A table counts rule calls until its matrix settles every pair."""
+        """A table that is not basic determines every pair at its first
+        `near`, when it settles on its matrix."""
         prox = table_proximity(GroundSpace.discrete(3), [(1, 2)])
-        prox.near(1, 2)
-        prox.near(2, 1)
-        prox.near(1, 1)
-        assert prox.eval_count == 3
-        check_axioms(prox)
+        assert prox.eval_count == 0
+        assert prox.near(2, 1)
         assert prox.eval_count == 8 * 9 // 2
+        check_axioms(prox)
         prox.near(5, 6)
         assert prox.eval_count == 8 * 9 // 2
 
     def test_matrix_is_built_once_and_reused(self):
         calls = []
-
-        def rule(a, b):
-            calls.append((a, b))
-            return a & b != 0
-
-        prox = ProximityRelation(GroundSpace.discrete(2), "custom", rule)
-        assert prox.near(3, 1)
-        assert calls == [(1, 3)]
-        calls.clear()
+        prox = ProximityRelation(GroundSpace.discrete(2), "custom", matrix=_overlap_matrix(calls))
+        assert prox.near(3, 1) and not prox.near(1, 2)
         check_axioms(prox)
         check_axioms(prox, axioms=["P3"])
-        prox.near(1, 3)
-        assert sorted(calls) == [(a, b) for a in range(4) for b in range(a, 4)]
+        assert prox.matrix() is prox.matrix()
+        assert calls == [1]
 
     def test_point_generated_relation_settles_at_first_near(self):
         calls, asked = [], []
-
-        def rule(a, b):
-            calls.append((a, b))
-            return a & b != 0
-
         prox = ProximityRelation(
-            GroundSpace.discrete(3), "custom", rule,
-            point_rows=lambda: asked.append(1) or singleton_rows(3, rule),
+            GroundSpace.discrete(2), "custom",
+            point_rows=lambda: asked.append(1) or (0b01, 0b10),
+            matrix=_overlap_matrix(calls),
         )
-        assert not prox.near(5, 2)
-        assert calls == [(1, 2), (1, 4), (2, 4)]
+        assert not prox.near(1, 2)
         assert prox._nbhd is not None and prox._rows is None
-        assert prox.eval_count == 8 * 9 // 2
-        prox.near(3, 6)
+        assert prox.eval_count == 4 * 5 // 2
+        prox.near(3, 2)
         check_axioms(prox)
-        assert len(calls) == 3 and asked == [1]
+        assert prox.matrix() == _overlap_matrix([])()
+        assert calls == [] and asked == [1] and prox._rows is None
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_point_relation_settles_on_its_stored_rows(self, n):
-        """A point relation has no rule; its rows give the definition."""
+        """A point relation has no matrix callback; its rows give the definition."""
         space = GroundSpace.discrete(n)
         size = 1 << n
         for relation in enumerate_point_relations(n):
             prox = point_generated_proximity(space, relation)
             rule = rule_near(prox)
-            assert prox._rule is None and prox.eval_count == 0
+            assert prox._pending_matrix is None and prox.eval_count == 0
             prox.near(1, size - 1)
             assert prox._nbhd is not None
             assert prox.eval_count == size * (size + 1) // 2
@@ -263,12 +259,12 @@ class TestMatrix:
             assert all(prox.near(a, b) == rule(a, b) for a in range(size) for b in range(a, size))
 
     def test_point_generation_is_asked_once(self):
-        asked = []
+        asked, calls = [], []
         prox = ProximityRelation(
-            GroundSpace.discrete(2), "custom", lambda a, b: a & b != 0,
-            point_rows=lambda: asked.append(1),
+            GroundSpace.discrete(2), "custom",
+            point_rows=lambda: asked.append(1), matrix=_overlap_matrix(calls),
         )
         for a in range(4):
             prox.near(a, 3)
-        assert asked == [1] and prox._nbhd is None
-        assert prox.eval_count == 4
+        assert asked == [1] and calls == [1] and prox._nbhd is None
+        assert prox.eval_count == 4 * 5 // 2

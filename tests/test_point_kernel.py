@@ -157,8 +157,8 @@ def test_the_matrix_is_never_built():
 def test_point_generated_rules_are_reflexive():
     """Point rows take {i} near {i} as given; the definition of every
     point-generated constructor's relation (`reference_rule`) says so on
-    every labelled topology with n <= 3, and so does the rule of the
-    derived strongly-far relation of each. The rows each constructor
+    every labelled topology with n <= 3, and so does the definition of
+    the derived strongly-far relation of each. The rows each constructor
     hands in are the ones that definition gives."""
     checked = 0
     for n in (1, 2, 3):
@@ -189,8 +189,8 @@ def test_point_generated_rules_are_reflexive():
 def test_f2_the_derived_relation_settles_on_the_kernel():
     """On every point relation with n <= 4 (discrete and partition
     spaces) and every overlap and Alexandroff base on the labelled
-    topologies with n <= 3, the derived relation matches its rule-filled
-    twin and the reference loops (run on the base's definition) in every
+    topologies with n <= 3, the derived relation matches its twin filled
+    from the definition and the reference loops (run on the base's definition) in every
     axiom's verdict and witness, in `strongly_far` and in `near` on
     every pair, without building its matrix."""
     bases = 0

@@ -257,23 +257,23 @@ def test_stream_keys_are_the_built_models_rows(seed):
     assert counts[5, False] == counts[6, False] == 3 * SAMPLES_PER_STAGE
 
 
-def test_no_relation_reads_rows_off_its_rule(monkeypatch):
+def test_no_relation_reads_rows_off_its_matrix(monkeypatch):
     """A search of every target at --max-n 4 and `validate` on the
     overlap, Alexandroff and gap models build the four point-generated
-    kinds with no rule, only their point rows, and every table with a
-    rule that is not called while its row callback runs: a table's rows
-    come off its pairs."""
+    kinds with no matrix callback, only their point rows, and every table
+    with a matrix callback that is not called while its row callback
+    runs: a table's rows come off its pairs."""
     asked = []
-    ruled = {}
+    matrixed = {}
     init = ProximityRelation.__init__
 
-    def watched(self, space, kind, rule=None, params=None, point_rows=None):
-        ruled.setdefault(kind, set()).add(rule is not None)
+    def watched(self, space, kind, params=None, point_rows=None, matrix=None):
+        matrixed.setdefault(kind, set()).add(matrix is not None)
         reading = []
 
-        def guarded(a, b):
-            assert not reading, f"{kind} read its rows off its rule"
-            return rule(a, b)
+        def guarded():
+            assert not reading, f"{kind} read its rows off its matrix"
+            return matrix()
 
         def rows():
             asked.append(kind)
@@ -283,7 +283,7 @@ def test_no_relation_reads_rows_off_its_rule(monkeypatch):
             finally:
                 reading.pop()
 
-        init(self, space, kind, rule and guarded, params, point_rows and rows)
+        init(self, space, kind, params, point_rows and rows, matrix and guarded)
 
     monkeypatch.setattr(ProximityRelation, "__init__", watched)
     for name in TARGET_NAMES:
@@ -293,5 +293,5 @@ def test_no_relation_reads_rows_off_its_rule(monkeypatch):
             assert cli.main(["validate", str(MODELS / f"{model}.yaml")]) == 0
     assert {"table", "point_relation", "gap", "alexandroff", "overlap"} <= set(asked)
     for kind in ("point_relation", "gap", "alexandroff", "overlap"):
-        assert ruled[kind] == {False}, kind
-    assert ruled["table"] == {True}
+        assert matrixed[kind] == {False}, kind
+    assert matrixed["table"] == {True}

@@ -23,6 +23,7 @@ from proxitop import (
     point_generated_proximity,
     strongly_far,
     strongly_included,
+    table_proximity,
 )
 from proxitop.strong import replay_hat_strongly_far, replay_strongly_far
 from corpus import table_models
@@ -189,6 +190,15 @@ class TestDerivedRelation:
                 "none because its table base is not a basic proximity (P0-P3)"
             )
 
+    def test_dense_matrix_past_the_cap_is_refused(self):
+        """On a base with no point rows the derived relation settles on a
+        4^n-bit matrix, which is refused above the exhaustive cap."""
+        derived = derived_near_from_sf(table_proximity(GroundSpace.discrete(11), []))
+        with pytest.raises(CapExceededError) as info:
+            derived.near(1, 2)
+        assert str(info.value) == "derived_near_from_sf: size 11 exceeds cap 10"
+        assert derived.eval_count == 0
+
 
 class TestSfImpliesHat:
     def test_overlap_discrete_no_violations(self, discrete3):
@@ -281,24 +291,58 @@ class TestPathRelationRegime:
         assert report.far_not_strongly_far > 0
 
 
+def _path_proximity(n):
+    return point_generated_proximity(
+        GroundSpace.discrete(n), PointRelation.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    )
+
+
 class TestSweepCaps:
-    """The sweeps over every far pair or pair of opens keep their cap on
-    a neighbourhood table too: the work, not a table, is what grows."""
+    """The sweeps over every strongly-far pair or pair of opens keep their
+    cap on a neighbourhood table too: the work, not a table, is what
+    grows. `check_far_vs_sf` counts by a sum over N and has no cap."""
 
     @pytest.mark.parametrize(
         "name, sweep",
         [
-            ("check_far_vs_sf", lambda space, prox: check_far_vs_sf(prox)),
             ("check_sf_implies_hat", check_sf_implies_hat),
             ("check_inclusion_containment", check_inclusion_containment),
         ],
     )
     def test_eleven_points_exceed_the_cap(self, name, sweep):
-        space = GroundSpace.discrete(11)
-        prox = point_generated_proximity(
-            space, PointRelation.from_pairs(11, [(i, i + 1) for i in range(10)])
-        )
+        prox = _path_proximity(11)
         assert prox._neighbourhoods() is not None
         with pytest.raises(CapExceededError) as info:
-            sweep(space, prox)
+            sweep(prox.space, prox)
         assert str(info.value) == f"{name}: size 11 exceeds cap 10"
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_far_vs_sf_counts_past_the_cap(self, n):
+        """A nonempty a is far from the nonempty masks missing N(a), and
+        strongly far from those missing N(N(a)) (F9); the examples are the
+        first far pairs in ascending order, strongly far iff N(a) misses
+        N(b) (F1)."""
+        prox = _path_proximity(n)
+        rows = prox._point_rows()
+
+        def nbhd(m):
+            out = 0
+            for i in range(n):
+                if m >> i & 1:
+                    out |= rows[i]
+            return out
+
+        def missing(m):
+            return (1 << n - bin(m).count("1")) - 1
+
+        far = sum(missing(nbhd(a)) for a in range(1, 1 << n))
+        strong = sum(missing(nbhd(nbhd(a))) for a in range(1, 1 << n))
+        examples = {True: [], False: []}
+        for a in range(1, 4):
+            for b in range(1, 1 << n):
+                if not nbhd(a) & b:
+                    examples[not nbhd(a) & nbhd(b)].append((a, b))
+        report = check_far_vs_sf(prox)
+        assert (report.far_and_strongly_far, report.far_not_strongly_far) == (strong, far - strong)
+        assert report.examples_strongly_far == tuple(examples[True][:5])
+        assert report.examples_not_strongly_far == tuple(examples[False][:5])

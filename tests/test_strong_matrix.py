@@ -14,7 +14,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from proxitop import (
     GroundSpace,
@@ -23,6 +23,7 @@ from proxitop import (
     check_axioms,
     check_far_vs_sf,
     check_sf_implies_hat,
+    derived_near_from_sf,
     enumerate_cl,
     enumerate_point_relations,
     enumerate_topologies,
@@ -36,6 +37,7 @@ from proxitop import (
     table_proximity,
 )
 from proxitop.proximity import _far_rows
+from proxitop.spaces import bits_of
 from proxitop.search import (
     TARGET_NAMES,
     SearchTarget,
@@ -153,6 +155,54 @@ def test_strong_layer_matches_reference(family):
     basic = [assert_strong_layer_matches_reference(prox) for prox in FAMILIES[family]()]
     # of the 66 tables with n <= 2, three are basic
     assert basic.count(True) == (3 if family == "tables" else len(basic))
+
+
+def assert_derived_matches_reference(table):
+    """The relation derived from a table with no point rows settles on a
+    matrix read off the table's far rows; its `near`, its matrix and
+    `strongly_far`'s witness on it agree with `raw_strongly_far` run on
+    the table's definition."""
+    n = table.space.n
+    assert table._point_rows() is None, table.params["near_pairs"]
+    derived = derived_near_from_sf(table)
+    near = rule_near(derived)  # raw_strongly_far over the table's definition
+    rows = derived.matrix()
+    for a in range(1 << n):
+        for b in range(1 << n):
+            assert derived.near(a, b) == (rows[a] >> b & 1 == 1) == near(a, b), (table, a, b)
+            if a and b:
+                want = raw_strongly_far(near, n, a, b)
+                result = strongly_far(derived, a, b)
+                assert result.witness == (None if want is None else (want,)), (table, a, b)
+    assert derived._nbhd is None and derived.eval_count == (1 << n) * ((1 << n) + 1) // 2
+
+
+def _unordered_pairs(n):
+    return [(a, b) for a in range(1 << n) for b in range(a, 1 << n)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_derived_matrix_on_every_rowless_table(n):
+    space = GroundSpace.discrete(n)
+    pairs = _unordered_pairs(n)
+    rowless = 0
+    for chosen in range(1 << len(pairs)):
+        table = table_proximity(space, [pairs[k] for k in bits_of(chosen)])
+        if table._point_rows() is None:
+            assert_derived_matches_reference(table)
+            rowless += 1
+    # one basic table on one point and two on two (tests/test_table_rows.py)
+    assert rowless == {1: 8 - 1, 2: 1024 - 2}[n]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_derived_matrix_on_random_tables(data):
+    n = data.draw(st.integers(3, 4))
+    chosen = data.draw(st.lists(st.sampled_from(_unordered_pairs(n)), unique=True))
+    table = table_proximity(GroundSpace.discrete(n), chosen)
+    assume(table._point_rows() is None)
+    assert_derived_matches_reference(table)
 
 
 def assert_hat_matches_reference(space, pairs):

@@ -6,8 +6,8 @@ has N(a) meeting b, and the table lists as many pairs as R generates. A
 relation on a finite set is basic (P0-P3) iff its singleton rows
 generate it, so a table has rows exactly when it is basic. Each test
 decides that on a twin with no point rows, whose matrix is filled from
-the table's rule, and checks that a table with rows answers every pair,
-axiom and witness as that twin does.
+the table's definition (`reference.reference_rule`), and checks that a
+table with rows answers every pair, axiom and witness as that twin does.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from proxitop import GroundSpace, check_axioms, table_proximity
 from proxitop.proximity import AXIOM_NAMES, _matrix_witnesses, _point_witnesses
 from proxitop.spaces import bits_of, union_table
-from reference import matrix_twin, singleton_rows
+from reference import matrix_twin, reference_rule, singleton_rows
 
 
 def written_out(n, rows):
@@ -44,9 +44,10 @@ def assert_rows_iff_basic(prox):
     basic = check_axioms(twin).is_basic
     assert (rows is not None) == basic, prox.params["near_pairs"]
     if basic:
-        assert rows == singleton_rows(n, prox._rule)
+        listed = reference_rule(prox)
+        assert rows == singleton_rows(n, listed)
         assert all(
-            prox.near(a, b) == prox._rule(a, b) for a in range(size) for b in range(a, size)
+            prox.near(a, b) == listed(a, b) for a in range(size) for b in range(a, size)
         )
         assert check_axioms(prox) == check_axioms(twin)
         assert prox._rows is None
