@@ -38,7 +38,6 @@ from .proximity import (
     gap_proximity,
     induced_closure,
     is_compatible,
-    kuratowski_violations,
     overlap_proximity,
     point_generated_proximity,
     table_proximity,

@@ -28,12 +28,21 @@ discrete. Serialization is canonical (fixed field order, sorted subset
 names, ascending masks), so byte-identical output is reproducible, and
 `parse(serialize(m))` restores a semantically identical model.
 
-Parsing cost is YAML loading. A five-point table file (about 470 near
-pairs, 15 KB) parses in 9-10 ms on a shared 2-vCPU x86-64 machine:
-libyaml's event stream takes about 5.5 ms, building the Python objects
-about 3 ms, and checking the near list about 0.6 ms. `_Loader` builds
-each sequence in one pass, and the table reader checks each distinct
-list of point names once.
+The layout `serialize` writes for a model with no replay steps is read
+without PyYAML, in one pass over its lines (`_fast_document`): every
+line is `key: value`, `key:` or `- value`, and each value is a name, a
+decimal integer or a one-line list at most two deep. Every other text
+goes to PyYAML through `_ModelLoader`, which alone words YAML errors; a
+file with comments, quotes, `'p/q'` fractions, flow mappings or replay
+steps is such a text. A key repeated in one mapping is a YAML error: the
+reader declines it and `_ModelLoader` words it.
+
+A five-point table file (about 470 near pairs, 15 KB) parses in about
+1.8 ms on a shared 2-vCPU x86-64 machine, of which the reader takes
+1.1 ms; through PyYAML the same file parses in about 8 ms, 7 ms of it
+YAML loading. (The machine's load moved all of these by up to a factor
+of two, together.) The table reader checks each distinct list of point
+names once.
 """
 
 from __future__ import annotations
@@ -62,9 +71,10 @@ from .proximity import (
 from .spaces import GroundSpace, Metric, PointSet, all_masks
 
 # libyaml's loader parses about ten times faster than the pure-Python one.
-# Its objects are still built in Python: a five-point table file loads in
-# about 8.5 ms with `_Loader` (11.4 ms with this loader alone), of which
-# libyaml's event stream is about 5.5 ms.
+# It reads every file outside `_fast_document`'s layout. Its objects are
+# still built in Python: a five-point table file loads in about 7 ms with
+# `_ModelLoader` (9-10 ms with this loader alone), where `_fast_document`
+# takes 1.1 ms.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -96,7 +106,24 @@ _Loader.add_constructor("tag:yaml.org,2002:seq", _construct_seq)
 
 class _ModelLoader(_Loader):
     """`_Loader`, but a scalar tagged as a type it cannot be read as
-    (`!!int x`) is a YAML error at that scalar, not a traceback."""
+    (`!!int x`) is a YAML error at that scalar, not a traceback, and so is
+    a key repeated in one mapping. Keys a merge (`<<`) brings in may still
+    be overridden, as YAML says."""
+
+    def construct_mapping(self, node, deep=False):
+        own = []
+        if isinstance(node, yaml.MappingNode):
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)  # built above: a lookup
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
 
 
 def _checked_scalar(construct):
@@ -412,16 +439,109 @@ def _parse_replay(doc: dict) -> tuple[dict, ...]:
 TOP_LEVEL_FIELDS = ("points", "topology", "metric", "proximity", "subsets", "replay")
 
 
+@functools.cache
+def _fast_patterns():
+    """(a line's start, a run of `- V` lines, a name), compiled on first use."""
+    name = _NAME_RE.pattern.strip("^$")
+    scalar = rf"(?:{name}|-?(?:0|[1-9][0-9]*))"
+    item = rf"(?:{scalar}|\[(?:{scalar}(?:, {scalar})*)?\])"
+    value = rf"(?:{scalar}|\[(?:{item}(?:, {item})*)?\])"
+    line = rf"( *)(?:- |({name}):(?: ({value}))?\n)"
+    block = rf"( *)- {value}\n(?:\1- {value}\n)*"
+    return re.compile(line), re.compile(block), re.compile(f"({name})")
+
+
+def _fast_values(run: str):
+    """The list that `[run]` loads as, for a run of values joined by `, `;
+    None if a name would not load as itself."""
+    parts = _fast_patterns()[2].split(run)
+    if not all(map(_reads_back, set(parts[1::2]))):
+        return None
+    try:
+        return json.loads("[" + '"'.join(parts) + "]")
+    except ValueError:  # an integer past the interpreter's digit limit
+        return None
+
+
+def _fast_document(text: str):
+    """What `yaml.load(text, Loader=_ModelLoader)` returns, read without
+    PyYAML, for the layout `serialize` writes when a model has no replay
+    steps; None for any other text.
+
+    Every line is `key: V`, `key:` or `- V`, indented by spaces only. V is
+    a name, a decimal integer or a one-line flow sequence at most two deep
+    with items separated by `, `. A `key:` line's children sit two spaces
+    deeper, and the first one decides mapping or sequence. Comments,
+    quotes, blank lines, a `key:` with no child (YAML's null) and a key
+    repeated in one mapping are all declined. A run of `- V` lines is
+    matched, quoted and decoded by `json` in one pass each.
+    """
+    if not text.endswith("\n"):
+        return None
+    line, block, _ = _fast_patterns()
+    root: dict = {}
+    stack = [(0, root)]  # (indent, container) of the open collections
+    pending = None  # the key of a `key:` line awaiting its first child
+    pos, end = 0, len(text)
+    while pos < end:
+        m = line.match(text, pos)
+        if m is None:
+            return None
+        indent, key = len(m[1]), m[2]
+        if pending is not None:
+            if indent != stack[-1][0] + 2:
+                return None
+            child = stack[-1][1][pending] = {} if key else []
+            stack.append((indent, child))
+            pending = None
+        else:
+            while stack[-1][0] > indent:
+                stack.pop()
+            if stack[-1][0] != indent:
+                return None
+        container = stack[-1][1]
+        if key is None:  # a run of `- V` lines
+            run = block.match(text, pos)
+            if container.__class__ is not list or run is None:
+                return None
+            values = _fast_values(
+                text[pos + indent + 2 : run.end() - 1].replace("\n" + m[1] + "- ", ", ")
+            )
+            if values is None:
+                return None
+            container.extend(values)
+            pos = run.end()
+            continue
+        if (
+            container.__class__ is not dict
+            or key in container
+            or len(key) > 1024  # YAML reads no longer implicit key
+            or not _reads_back(key)
+        ):
+            return None
+        if m[3] is None:
+            pending = key
+        else:
+            values = _fast_values(m[3])
+            if values is None:
+                return None
+            container[key] = values[0]
+        pos = m.end()
+    return None if pending is not None else root
+
+
 def parse(text: str) -> Model:
     """Parse and validate a model file; raise InvalidModelError on any defect."""
-    try:
-        doc = yaml.load(text, Loader=_ModelLoader)
-    except yaml.YAMLError as exc:
-        where = ""
-        if hasattr(exc, "problem_mark") and exc.problem_mark is not None:
-            mark = exc.problem_mark
-            where = f"line {mark.line + 1}, column {mark.column + 1}"
-        raise InvalidModelError(f"not valid YAML: {exc}", where) from None
+    doc = _fast_document(text)
+    if doc is None:
+        try:
+            doc = yaml.load(text, Loader=_ModelLoader)
+        except yaml.YAMLError as exc:
+            where = ""
+            if hasattr(exc, "problem_mark") and exc.problem_mark is not None:
+                mark = exc.problem_mark
+                where = f"line {mark.line + 1}, column {mark.column + 1}"
+            raise InvalidModelError(f"not valid YAML: {exc}", where) from None
     if not isinstance(doc, dict):
         _fail("", "model file must be a mapping")
     for key in doc:

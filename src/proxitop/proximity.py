@@ -495,32 +495,6 @@ def is_compatible(prox: ProximityRelation) -> CompatibilityResult:
     return CompatibilityResult(True)
 
 
-def kuratowski_violations(n: int, cl: Callable[[int], int]) -> list[tuple[str, tuple[int, ...]]]:
-    """Check an arbitrary closure operator against the four Kuratowski axioms.
-
-    Independent of any space or relation machinery: it only calls `cl` on
-    masks over an n-point set and reports (axiom, witness) violations.
-    No verb calls it; acceptance criterion 01 (the induced closure of a
-    compatible Lodato model is a Kuratowski closure) checks with it.
-    """
-    out = []
-    if cl(0) != 0:
-        out.append(("closure-of-empty", (0,)))
-    values = {}
-    for a in all_masks(n):
-        ca = values[a] = cl(a)
-        if a & ~ca:
-            out.append(("extensive", (a,)))
-    for a in all_masks(n):
-        if cl(values[a]) != values[a]:
-            out.append(("idempotent", (a,)))
-    for a in all_masks(n):
-        for b in all_masks(n):
-            if values[a | b] != values[a] | values[b]:
-                out.append(("additive", (a, b)))
-    return out
-
-
 # -- axiom checking -----------------------------------------------------
 
 

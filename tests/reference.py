@@ -59,7 +59,8 @@ reads point rows off a relation's singleton verdicts, as tables did
 before they read them off their pairs. `closed_random_topology` is the
 sampled Alexandroff stage's topology draw before it read the minimal
 neighbourhoods off the drawn masks: it closes them under pairwise union
-and intersection until nothing changes.
+and intersection until nothing changes. `kuratowski_violations` checks
+any closure operator against the four Kuratowski axioms.
 """
 
 from itertools import permutations
@@ -594,3 +595,29 @@ def closed_random_topology(n, rng):
                         opens.add(m)
                         changed = True
     return GroundSpace.create(n, opens)
+
+
+def kuratowski_violations(n, cl):
+    """Check an arbitrary closure operator against the four Kuratowski axioms.
+
+    Independent of any space or relation machinery: it only calls `cl` on
+    masks over an n-point set and reports (axiom, witness) violations.
+    Acceptance criterion 01 (the induced closure of a compatible Lodato
+    model is a Kuratowski closure) checks with it.
+    """
+    out = []
+    if cl(0) != 0:
+        out.append(("closure-of-empty", (0,)))
+    values = {}
+    for a in all_masks(n):
+        ca = values[a] = cl(a)
+        if a & ~ca:
+            out.append(("extensive", (a,)))
+    for a in all_masks(n):
+        if cl(values[a]) != values[a]:
+            out.append(("idempotent", (a,)))
+    for a in all_masks(n):
+        for b in all_masks(n):
+            if values[a | b] != values[a] | values[b]:
+                out.append(("additive", (a, b)))
+    return out

@@ -23,7 +23,6 @@ from proxitop import (
     derived_near_from_sf,
     hat_strongly_far,
     induced_closure,
-    kuratowski_violations,
     overlap_proximity,
     refines,
     replay,
@@ -34,6 +33,7 @@ from proxitop import (
 from proxitop.cli import main as cli_main
 from proxitop.proximity import CompactnessIdeal
 from proxitop.search import STATUS_EXHAUSTED, STATUS_WITNESS, SearchTarget
+from reference import kuratowski_violations
 
 MODELS = Path(__file__).parent.parent / "models"
 

@@ -13,6 +13,7 @@ from proxitop.cli import _build_parser, main
 from proxitop.modelfile import parse_file
 from proxitop.proximity import ProximityRelation
 from reference import raw_strongly_far, rule_near, subbase_neighbourhoods
+from strategies import mutated_models
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -356,7 +357,6 @@ class TestRobustness:
         assert "Traceback" not in err
 
 
-MODEL_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(MODELS.glob("*.yaml"))]
 # The compare call carries a hyperspace cap: a 10-point model's 1023
 # hyperpoints cost seconds in far_miss_set, and exit 3 is an allowed outcome.
 FUZZ_COMMANDS = [
@@ -364,18 +364,6 @@ FUZZ_COMMANDS = [
     ("relations",),
     ("compare", "--left", "vietoris", "--right", "far_miss", "--cap-hyper", "256"),
 ]
-YAML_CHARS = st.one_of(
-    st.sampled_from(list(" \n:-,[]{}#'\"&*!|>?%@`0123456789abcdpq")),
-    st.characters(blacklist_categories=("Cs",)),
-)
-
-
-@st.composite
-def mutated_models(draw):
-    text = list(draw(st.sampled_from(MODEL_TEXTS)))
-    for _ in range(draw(st.integers(1, 3))):
-        text[draw(st.integers(0, len(text) - 1))] = draw(YAML_CHARS)
-    return "".join(text).encode("utf-8")
 
 
 class TestFuzz:

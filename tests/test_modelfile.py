@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
-from strategies import space_strategy
+from strategies import mutated_models, space_strategy
 
 from proxitop import InvalidModelError, all_masks, modelfile, parse, serialize
 from proxitop.modelfile import Model, _emit_inline_list, model_digest, parse_file
@@ -236,6 +236,57 @@ def loaded(text, loader):
 def assert_same_documents(text):
     for ours, plain in LOADER_PAIRS:
         assert loaded(text, ours) == loaded(text, plain), (plain.__name__, text)
+    fast = modelfile._fast_document(text)
+    assert fast is None or typed(fast) == loaded(text, yaml.SafeLoader), text
+
+
+# Near misses of the layout `modelfile._fast_document` reads: names YAML
+# types otherwise, integers it reads in another base or not at all, flow
+# separators without their space, trailing commas, three-deep sequences,
+# indents of 0-3 spaces, repeated keys and trailing spaces. Each is drawn
+# rarely enough that some texts keep to the layout.
+def rarely(common, *others):
+    return st.sampled_from([common] * (3 * len(others)) + list(others))
+
+
+NEAR_MISS_SCALARS = st.sampled_from(
+    ["a", "p0", "x_y", "b-c", "y", "0", "7", "-3", "-0"] * 4
+    + ["on", "No", "null", "01", "+1", "1_0"]
+)
+NEAR_MISS_KEYS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "y", "on"])
+
+
+@st.composite
+def near_miss_values(draw, depth=0):
+    if depth == 3 or draw(st.booleans()):
+        return draw(NEAR_MISS_SCALARS)
+    items = draw(st.lists(near_miss_values(depth + 1), max_size=3))
+    return "[" + draw(rarely(", ", ",")).join(items) + draw(rarely("", ",")) + "]"
+
+
+@st.composite
+def near_miss_lines(draw, indent, depth=0):
+    pad = " " * indent
+    lines = []
+    for key in draw(st.lists(NEAR_MISS_KEYS, min_size=1, max_size=3)):
+        kind = draw(rarely("value", "seq", "map", "bare") if depth < 2 else st.just("value"))
+        if kind == "value":
+            lines.append(f"{pad}{key}: {draw(near_miss_values())}")
+            continue
+        lines.append(f"{pad}{key}:")
+        child = indent + draw(rarely(2, 0, 1, 3))
+        if kind == "seq":
+            values = draw(st.lists(near_miss_values(), min_size=1, max_size=3))
+            lines += [f"{' ' * child}- {v}" for v in values]
+        elif kind == "map":
+            lines += draw(near_miss_lines(child, depth + 1))
+    return lines
+
+
+@st.composite
+def near_miss_texts(draw):
+    lines = draw(near_miss_lines(draw(rarely(0, 1, 2, 3))))
+    return "".join(line + draw(rarely("", " ")) + "\n" for line in lines)
 
 
 # Scalars of every resolved type inside sequences, explicit tags, anchors,
@@ -309,6 +360,47 @@ class TestLoaderParity:
         near = data.draw(st.lists(st.tuples(masks, masks), max_size=12))
         assert_same_documents(serialize(Model(space, table_proximity(space, near))))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=mutated_models())
+    def test_mutated_model_files(self, data):
+        assert_same_documents(data.decode("utf-8"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=near_miss_texts())
+    def test_near_misses_of_the_fast_layout(self, text):
+        assert_same_documents(text)
+
+
+class TestFastReader:
+    """`serialize` writes the layout `modelfile._fast_document` reads, so
+    model files skip PyYAML; any other text is left to it."""
+
+    def test_every_search_candidate_up_to_four_points(self):
+        target = SearchTarget(TARGET_NAMES[0], n_max=4)
+        for _, model, _ in candidate_models(target, 0):
+            assert modelfile._fast_document(serialize(model)) is not None
+
+    def test_five_point_table(self):
+        assert modelfile._fast_document(serialize(five_point_table())) is not None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a:\n",  # YAML's null
+            "a: 1\na: 2\n",
+            "a: [x,y]\n",
+            "a: [[[x]]]\n",
+            "a: 01\n",
+            "a: on\n",
+            "a: 1 \n",
+            "a: 1",
+            "a: 1\n\nb: 2\n",
+            f"{'k' * 1025}: 1\n",  # YAML reads no longer implicit key
+        ],
+    )
+    def test_declines_other_texts(self, text):
+        assert modelfile._fast_document(text) is None
+
 
 def parse_err(text):
     with pytest.raises(InvalidModelError) as info:
@@ -365,6 +457,35 @@ class TestDiagnostics:
             "proximity: {kind: alexandroff, ideal: [[a, b]]}\n"
         )
         assert "proximity.ideal" in msg
+
+    @pytest.mark.parametrize(
+        "text,where,key",
+        [
+            (
+                "points: [a]\ntopology: discrete\npoints: [a, b]\nproximity:\n  kind: overlap\n",
+                "line 3, column 1",
+                "points",
+            ),
+            (
+                "points: [a, b]\ntopology: discrete\nproximity:\n  kind: overlap\n"
+                "subsets:\n  A: [a]\n  A: [b]\n",
+                "line 7, column 3",
+                "A",
+            ),
+        ],
+    )
+    def test_repeated_key_is_a_parse_error(self, text, where, key):
+        with pytest.raises(InvalidModelError) as info:
+            parse(text)
+        assert info.value.where == where
+        assert f"duplicate key {key!r}" in str(info.value)
+
+    def test_merged_keys_may_be_overridden(self):
+        model = parse(
+            "points: [a]\ntopology: discrete\n"
+            "proximity: {<<: {kind: table, near: []}, near: [[[a], [a]]]}\n"
+        )
+        assert model.proximity.near(1, 1)
 
     def test_yaml_error_carries_location(self):
         msg = parse_err("points: [a\nproximity: {kind: overlap}\n")

@@ -20,14 +20,13 @@ from proxitop import (
     gap_proximity,
     induced_closure,
     is_compatible,
-    kuratowski_violations,
     overlap_proximity,
     point_generated_proximity,
     table_proximity,
 )
 from proxitop.proximity import CompatibilityResult
 from proxitop.search import enumerate_point_relations, enumerate_topologies
-from reference import incompatibility_witness
+from reference import incompatibility_witness, kuratowski_violations
 
 
 @pytest.fixture
